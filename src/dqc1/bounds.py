@@ -8,7 +8,12 @@ independent of the unitary and of the bipartite division.  Maximizing
 sum|lambda| subject to the s = 1,2 constraints gives the closed form
 sqrt(1 + alpha**2); adding s = 3 (at alpha = 1) forces at most three distinct
 eigenvalues, and the bound becomes a finite search over their degeneracies
-(u, v, w), solving the moment system for each triple.  The s = 1,2,3 bound
+(u, v, w).  Shifted by their mean 1/(2N), the eigenvalues of one triple obey
+two homogeneous constraints (s = 1, 3) and one quadratic (s = 2), so their
+direction is a root of one cubic and their scale follows in closed form: the
+real solutions of every triple are found completely, with no iterative
+search.  A spectrum with only two distinct values must be {0, 1/N}, each N
+times, with M = 1; it is no candidate for the maximum.  The s = 1,2,3 bound
 tightens the small-register picture and approaches sqrt(2) from below like
 sqrt(2) - 2**(-7/6) N**(-1/3).
 """
@@ -25,8 +30,6 @@ CONSTRAINT_TOL = 1e-10
 ROOT_DEDUPE_TOL = 1e-8
 EXHAUSTIVE_MAX_TWO_N = 78
 GUIDED_RADIUS = 3
-_GRID = 5          # starting points per axis (5 x 5 grid per triple)
-_NEWTON_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -112,54 +115,37 @@ def bound_s12(N: int, alpha: float) -> tuple[BoundResult, BoundResult]:
 # ---------------------------------------------------------------------------
 # s = 1, 2, 3 bound (alpha = 1)
 
-def _newton_batch(degs: np.ndarray, N: float) -> list[tuple[int, float, float, float]]:
-    """Damped Newton from a 5x5 grid of starts for every degeneracy triple.
+def _triple_solutions(triples: Sequence[tuple[int, int, int]],
+                      N: float) -> list[tuple[int, float, float, float]]:
+    """Every real solution of the moment system for each degeneracy triple.
 
-    ``degs`` is (T, 3) with entries >= 1.  The linear constraint eliminates C;
-    iteration runs on (A, B) for all triples and starts at once.  Returns
-    converged (triple_index, A, B, C) instances (unfiltered for duplicates).
+    Shifted by the mean mu = 1/(2N), the values a = A - mu, b = B - mu,
+    c = C - mu obey u a + v b + w c = 0, u a^2 + v b^2 + w c^2 = 1/(2N) and
+    u a^3 + v b^3 + w c^3 = 0.  Eliminating c through the first, the direction
+    t = a/b solves the cubic w^2 (u t^3 + v) - (u t + v)^3 = 0, which drops to
+    a quadratic plus the direction b = 0 when u = w.  Each direction gives the
+    pair mu +- s (a, b, c), with s > 0 fixed by the quadratic constraint.  Roots
+    enter by their real part; the residual filter drops complex ones and keeps
+    double roots.  Returns the (triple_index, A, B, C) rows that pass it.
     """
     x = 1.0 / N
-    reps = _GRID * _GRID
-    u = np.repeat(degs[:, 0], reps).astype(float)
-    v = np.repeat(degs[:, 1], reps).astype(float)
-    w = np.repeat(degs[:, 2], reps).astype(float)
-    grid = np.linspace(-1.0, 1.0, _GRID)
-    ga, gb = np.meshgrid(grid, grid, indexing="ij")
-    a = np.sqrt(x / u) * np.tile(ga.ravel(), len(degs))
-    b = np.sqrt(x / v) * np.tile(gb.ravel(), len(degs))
-
-    def residuals(a, b):
-        c = (1.0 - u * a - v * b) / w
-        f1 = u * a * a + v * b * b + w * c * c - x
-        f2 = u * a**3 + v * b**3 + w * c**3 - x * x
-        return f1, f2, c
-
-    # diverging starts overflow before the residual filter discards them
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_NEWTON_ITERS):
-            f1, f2, c = residuals(a, b)
-            j11 = 2 * u * (a - c)
-            j12 = 2 * v * (b - c)
-            j21 = 3 * u * (a * a - c * c)
-            j22 = 3 * v * (b * b - c * c)
-            det = j11 * j22 - j12 * j21
-            da = np.nan_to_num((j22 * f1 - j12 * f2) / det)
-            db = np.nan_to_num((j11 * f2 - j21 * f1) / det)
-            step = np.ones_like(a)
-            r0 = f1 * f1 + f2 * f2
-            for _ in range(8):
-                g1, g2, _ = residuals(a - step * da, b - step * db)
-                worse = (g1 * g1 + g2 * g2) > r0
-                if not worse.any():
-                    break
-                step = np.where(worse, step / 2, step)
-            a -= step * da
-            b -= step * db
-        f1, f2, c = residuals(a, b)
-    ok = (np.abs(f1) <= CONSTRAINT_TOL) & (np.abs(f2) <= CONSTRAINT_TOL)
-    tri_idx = np.repeat(np.arange(len(degs)), reps)
-    return list(zip(tri_idx[ok].tolist(), a[ok].tolist(), b[ok].tolist(), c[ok].tolist()))
+    mu = x / 2
+    rows = []
+    for i, (u, v, w) in enumerate(triples):
+        cubic = [u * (w * w - u * u), -3 * u * u * v, -3 * u * v * v, v * (w * w - v * v)]
+        directions = [(float(t), 1.0) for t in np.roots(cubic).real]
+        if u == w:
+            directions.append((1.0, 0.0))
+        for a, b in directions:
+            c = -(u * a + v * b) / w
+            scale = math.sqrt(mu / (u * a * a + v * b * b + w * c * c))
+            for s in (scale, -scale):
+                A, B, C = mu + s * a, mu + s * b, mu + s * c
+                f1 = u * A * A + v * B * B + w * C * C - x
+                f2 = u * A**3 + v * B**3 + w * C**3 - x * x
+                if abs(f1) <= CONSTRAINT_TOL and abs(f2) <= CONSTRAINT_TOL:
+                    rows.append((i, A, B, C))
+    return rows
 
 
 def _canonical(values: Sequence[float], degs: Sequence[int]) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -174,10 +160,9 @@ def _canonical(values: Sequence[float], degs: Sequence[int]) -> tuple[tuple[floa
 def solve_degeneracy_triple(u: int, v: int, w: int, N: float) -> list[SpectrumSolution]:
     """All real solutions of the three-moment system for one degeneracy triple,
     deduplicated, in canonical order."""
-    roots = _newton_batch(np.array([[u, v, w]], dtype=float), N)
     seen = set()
     out = []
-    for _, a, b, c in roots:
+    for _, a, b, c in _triple_solutions([(u, v, w)], N):
         vals, degs = _canonical((a, b, c), (u, v, w))
         key = tuple(round(t / ROOT_DEDUPE_TOL) for t in vals)
         if key in seen:
@@ -188,24 +173,6 @@ def solve_degeneracy_triple(u: int, v: int, w: int, N: float) -> list[SpectrumSo
     return sorted(out, key=lambda s: -s.m_value)
 
 
-def _two_value_candidates(two_n: int, N: float) -> list[SpectrumSolution]:
-    """Degenerate triples with a zero entry: the s = 1, 2 two-eigenvalue family,
-    kept only when it happens to satisfy the s = 3 constraint too."""
-    out = []
-    x = 1.0 / N
-    for t in range(1, two_n):
-        for branch in (1.0, -1.0):
-            lam_a = (1 - branch * math.sqrt((two_n - t) / t)) / two_n
-            lam_b = (1 + branch * math.sqrt(t / (two_n - t))) / two_n
-            p3 = t * lam_a**3 + (two_n - t) * lam_b**3
-            if abs(p3 - x * x) <= CONSTRAINT_TOL:
-                m = t * abs(lam_a) + (two_n - t) * abs(lam_b)
-                vals = (lam_a, lam_b) if lam_a <= lam_b else (lam_b, lam_a)
-                degs = (t, two_n - t) if lam_a <= lam_b else (two_n - t, t)
-                out.append(SpectrumSolution(vals, degs, m))
-    return out
-
-
 def _pattern_center(N: float, two_n: int) -> tuple[int, int, int]:
     u = round(N * (1 - 1 / math.sqrt(2)))
     return u, 1, two_n - 1 - u
@@ -214,12 +181,15 @@ def _pattern_center(N: float, two_n: int) -> tuple[int, int, int]:
 def bound_s123(N: int) -> BoundResult:
     """The s = 1, 2, 3 bound at alpha = 1 for spectrum size 2N.
 
-    Up to 2N = 78 every degeneracy triple is enumerated and solved; beyond
-    that only a +-3 neighborhood of the asymptotic maximizer pattern
-    (u ~ N(1 - 1/sqrt 2) negatives, a nondegenerate top eigenvalue) is
-    searched, so those values are best-effort rather than certified maxima.
-    The witness is canonically ordered (negative, top, middle) = (A, B, C)
-    with degeneracies (u, v, w).
+    Every real solution of a triple's moment system comes from the roots of
+    one cubic (see :func:`_triple_solutions`), so the value is the maximum
+    over the triples searched, to the constraint tolerance.  Up to 2N = 78
+    every degeneracy triple is enumerated and the value is the certified
+    maximum; beyond that only a +-3 neighborhood of the asymptotic maximizer
+    pattern (u ~ N(1 - 1/sqrt 2) negatives, a nondegenerate top eigenvalue)
+    is searched, so those values are best-effort and can lie below the true
+    maximum.  The witness is canonically ordered (negative, top, middle) =
+    (A, B, C) with degeneracies (u, v, w).
     """
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
@@ -238,7 +208,6 @@ def bound_s123(N: int) -> BoundResult:
                 w = two_n - u - v
                 if u >= 1 and v >= 1 and w >= 1:
                     triples.append((u, v, w))
-    degs = np.array(triples, dtype=float)
     best: SpectrumSolution | None = None
 
     def better(cand: SpectrumSolution, cur: SpectrumSolution | None) -> bool:
@@ -246,13 +215,10 @@ def bound_s123(N: int) -> BoundResult:
             return True
         return cand.m_value == cur.m_value and cand.degeneracies < cur.degeneracies
 
-    for tri_idx, a, b, c in _newton_batch(degs, float(N)):
+    for tri_idx, a, b, c in _triple_solutions(triples, float(N)):
         vals, dd = _canonical((a, b, c), triples[tri_idx])
         m = sum(d * abs(t) for t, d in zip(vals, dd))
         cand = SpectrumSolution(vals, dd, m)
-        if better(cand, best):
-            best = cand
-    for cand in _two_value_candidates(two_n, float(N)):
         if better(cand, best):
             best = cand
     if best is None:

@@ -191,4 +191,7 @@ def load_unitary(path) -> np.ndarray:
                 out[i, j] = complex(float(re), float(im))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad entry {tok!r}") from None
+    for lineno, line in enumerate(lines[dim + 1:], start=dim + 2):
+        if line.strip():
+            raise ValueError(f"{path}: line {lineno}: extra data after {dim} rows: {line!r}")
     return out

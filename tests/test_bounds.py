@@ -136,6 +136,31 @@ def test_solve_degeneracy_triple_roots():
         assert max(residuals(s, 4)) <= 1e-10
         assert s.degeneracies in ((1, 1, 6), (1, 6, 1), (6, 1, 1))
 
+    # three real directions: all six solutions, the smallest-M one included
+    sols = solve_degeneracy_triple(3, 12, 13, 14.0)
+    assert len(sols) == 6
+    assert any(abs(s.m_value - 1.038937413671) <= 1e-11 for s in sols)
+
+    # u = w: a quadratic plus the direction b = 0, whose middle value is the mean
+    sols = solve_degeneracy_triple(5, 2, 5, 6.0)
+    assert len(sols) == 3
+    assert any(s.degeneracies[2] == 2 and abs(s.distinct_values[2] - 1 / 12) <= 1e-15
+               for s in sols)
+
+    # u + v = w: t = 1 is a double root, the two-valued spectrum {0 x39, 1/39 x39}
+    sols = solve_degeneracy_triple(19, 20, 39, 39.0)
+    assert len(sols) == 4
+    assert any(sorted(s.distinct_values)[0] == pytest.approx(0, abs=1e-15)
+               and max(s.distinct_values) == pytest.approx(1 / 39, abs=1e-15)
+               and sum(d for v, d in zip(s.distinct_values, s.degeneracies)
+                       if abs(v) <= 1e-15) == 39
+               for s in sols)
+
+    for (u, v, w), big_n in (((3, 12, 13), 14), ((5, 2, 5), 6), ((19, 20, 39), 39)):
+        for s in solve_degeneracy_triple(u, v, w, float(big_n)):
+            assert max(residuals(s, big_n)) <= 1e-10
+            assert s.total == 2 * big_n
+
 
 def test_bounds_csv_format():
     rows = bounds_csv([*bound_s12(4, 1.0), bound_s123(4)])

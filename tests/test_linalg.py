@@ -171,3 +171,8 @@ def test_unitary_file_parse_errors(tmp_path):
     short_row.write_text("2\n1,0\n0,0 1,0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_unitary(short_row)
+
+    extra_row = tmp_path / "d.mat"
+    extra_row.write_text("2\n1,0 0,0\n0,0 1,0\n9,9 9,9\n")
+    with pytest.raises(ValueError, match="line 4"):
+        load_unitary(extra_row)

@@ -55,6 +55,21 @@ def test_pauli_expectations_t_gate():
     assert abs(y - (-math.sin(math.pi / 4) / 2)) <= 1e-15
 
 
+def test_pauli_expectations_match_operator_expectations():
+    # the readout's <Y> carries the sign that makes <X> - i<Y> = alpha tr(U)/N,
+    # which is -tr(rho (Y x I)) for Y = [[0, -i], [i, 0]] on qubit 0
+    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    rng = np.random.default_rng(5)
+    for u, alpha in ((haar_unitary(8, rng), 0.7), (T_GATE, 1.0), (haar_unitary(4, rng), -0.3)):
+        st = build_state(u, alpha)
+        eye = np.eye(len(u))
+        x_op = np.trace(st.rho @ np.kron(pauli_x, eye))
+        y_op = np.trace(st.rho @ np.kron(pauli_y, eye))
+        x, y = pauli_expectations(st)
+        assert abs(x - x_op) <= 1e-12 and abs(y + y_op) <= 1e-12
+
+
 def test_pauli_expectations_linear_in_alpha():
     rng = np.random.default_rng(2)
     u = haar_unitary(8, rng)
