@@ -26,7 +26,7 @@ from .bounds import (BoundResult, SpectrumSolution, bound_s12, bound_s123,
                      bound_s123_asymptotic, trace_power)
 from .pathsum import (CNOT, Gate, GateCircuit, H, T, TOFFOLI, compile_circuit,
                       dense_trace, exact_trace_enumeration, hadamard_bracket,
-                      parse_circuit, prepare_circuit, rewrite_for_degree,
-                      sampled_trace, trace_by_counting)
+                      parse_circuit, prepare_circuit, sampled_trace,
+                      trace_by_counting)
 
 __version__ = "0.1.0"

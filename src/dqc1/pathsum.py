@@ -1,23 +1,26 @@
 """Classical sum-over-paths evaluation of circuit traces.
 
 A circuit over {H, T, CNOT, TOFFOLI} is first surrounded by a layer of
-Hadamards on every qubit (which leaves the trace unchanged but removes the
-closed-path restriction) and rewritten so the compiled phase polynomials stay
-low degree.  Tracing each wire as a Z2 polynomial in the path bits turns the
-trace into
+Hadamards on every qubit, which leaves the trace unchanged but removes the
+closed-path restriction.  Tracing each wire as a Z2 polynomial in the path
+bits turns the trace into
 
     tr(U) = 2**-(n + h/2) * sum_x (-1)**psi(x)                 (H/Toffoli)
     tr(U) = 2**-(n + h/2) * sum_x exp(i pi chi(x)/4) (-1)**phi(x)   (H/T/CNOT)
 
-over x in {0,1}**(2n+h), with h the number of Hadamards inside the bracket.
+over x in {0,1}**(2n+h), with h the number of Hadamards inside the bracket:
+the circuit's own plus two for each Hadamard pair (HH = I) that compilation
+places on a wire that a T or a Toffoli control needs as one path bit.
 psi is cubic over Z2, phi purely quadratic, and chi a linear form over Z8.
 Evaluating the sum exactly means counting polynomial zeros, which is why the
 exact evaluator carries a hard path-bit budget; the uniform sampling estimator
-has no budget but averages terms of magnitude 2**(h/2).
+has no such budget, only the 64-bit limit of its path indices, but averages
+terms of magnitude 2**(h/2).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -29,6 +32,7 @@ from .rng import philox_stream
 PATH_BIT_BUDGET = 26
 DENSE_TRACE_MAX_QUBITS = 10
 _CHUNK_BITS = 20
+SAMPLE_BIT_LIMIT = 64            # sampled path indices are uint64
 
 GATE_ARITY = {"H": 1, "T": 1, "CNOT": 2, "TOFFOLI": 3}
 MODE_GATES = {"toffoli": {"H", "TOFFOLI"}, "t_gate": {"H", "T", "CNOT"}}
@@ -36,10 +40,6 @@ MODE_GATES = {"toffoli": {"H", "TOFFOLI"}, "t_gate": {"H", "T", "CNOT"}}
 
 class PathBudgetError(ValueError):
     """Exact evaluation would exceed the path-bit budget."""
-
-
-class DegreeOverflowError(RuntimeError):
-    """Compiled polynomial exceeded its degree cap; the rewrite pass was skipped."""
 
 
 @dataclass(frozen=True)
@@ -189,40 +189,18 @@ def hadamard_bracket(c: GateCircuit) -> GateCircuit:
     return GateCircuit(c.n, layer + c.gates + layer)
 
 
-def rewrite_for_degree(c: GateCircuit, mode: str) -> GateCircuit:
-    """Insert Hadamard pairs so compilation meets its degree caps.
-
-    toffoli mode: HH after each Toffoli's target stops the quadratic target bit
-    from iterating into higher-degree terms.  t_gate mode: HH before each T
-    makes every T input a fresh path bit, so chi is a pure Z8 form.  HH = I, so
-    the dense unitary is unchanged.
-    """
-    allowed = _mode_gates(mode)
-    gates = []
-    for g in c.gates:
-        if g.name not in allowed:
-            raise ValueError(f"gate {g.name} not in the {mode!r} gate set")
-        if mode == "t_gate" and g.name == "T":
-            q = g.qubits[0]
-            gates += [H(q), H(q), g]
-        elif mode == "toffoli" and g.name == "TOFFOLI":
-            t = g.qubits[2]
-            gates += [g, H(t), H(t)]
-        else:
-            gates.append(g)
-    return GateCircuit(c.n, tuple(gates))
-
-
 def prepare_circuit(c: GateCircuit, mode: str) -> GateCircuit:
-    """Rewrite for degree, then bracket: the form :func:`compile_circuit` expects."""
-    return hadamard_bracket(rewrite_for_degree(c, mode))
+    """Check the gate set, then bracket: the form :func:`compile_circuit` expects."""
+    _check_gate_set(c, mode)
+    return hadamard_bracket(c)
 
 
-def _mode_gates(mode: str) -> set[str]:
-    try:
-        return MODE_GATES[mode]
-    except KeyError:
-        raise ValueError(f"mode must be one of {sorted(MODE_GATES)}, got {mode!r}") from None
+def _check_gate_set(c: GateCircuit, mode: str) -> None:
+    if mode not in MODE_GATES:
+        raise ValueError(f"mode must be one of {sorted(MODE_GATES)}, got {mode!r}")
+    for g in c.gates:
+        if g.name not in MODE_GATES[mode]:
+            raise ValueError(f"gate {g.name} not in the {mode!r} gate set")
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +211,11 @@ class PathPolynomials:
     """Phase polynomials of a bracketed circuit over its path bits.
 
     Path bits are numbered: inputs 0..n-1, then the opening bracket-H outputs,
-    then internal-H outputs in circuit order.  The closing bracket's outputs
-    are the input bits again, which is what restricts the sum to closed paths.
-    Monomials are sorted variable tuples; chi maps path bits to Z8 coefficients.
+    then internal-H outputs in circuit order, the compiled Hadamard pairs
+    included.  The closing bracket's outputs are the input bits again, which
+    is what restricts the sum to closed paths.  ``hadamard_count`` counts every
+    internal Hadamard, two per compiled pair.  Monomials are sorted variable
+    tuples; chi maps path bits to Z8 coefficients.
     """
 
     n: int
@@ -247,32 +227,19 @@ class PathPolynomials:
     chi: tuple[tuple[int, int], ...] | None = None
 
 
-def _poly_mul(p: set, q: set) -> set:
-    out: set = set()
-    for a in p:
-        for b in q:
-            m = tuple(sorted(set(a) | set(b)))
-            if m in out:
-                out.remove(m)
-            else:
-                out.add(m)
-    return out
-
-
 def compile_circuit(c: GateCircuit, mode: str) -> PathPolynomials:
-    """Forward symbolic pass turning a bracketed, rewritten circuit into its
-    path polynomials.
+    """Forward symbolic pass turning a bracketed circuit into its path
+    polynomials.
 
     Every wire is tracked as a Z2 polynomial in the path bits.  A Hadamard
     contributes (wire * fresh output) to the phase polynomial and resets the
     wire; CNOT and Toffoli update wires deterministically; T adds its input
-    bit to the Z8 form.  Degree caps (cubic psi, quadratic phi) are enforced;
-    exceeding them means the rewrite pass was skipped.
+    bit to the Z8 form.  Where a T input or a Toffoli control is not one path
+    bit, two Hadamards are compiled on that wire first (HH = I), so the wire
+    becomes a fresh bit.  Wires then stay linear in t_gate mode and at most
+    quadratic in toffoli mode, which keeps phi quadratic and psi cubic.
     """
-    allowed = _mode_gates(mode)
-    for g in c.gates:
-        if g.name not in allowed:
-            raise ValueError(f"gate {g.name} not in the {mode!r} gate set")
+    _check_gate_set(c, mode)
     n = c.n
     if len(c.gates) < 2 * n:
         raise ValueError("circuit is not bracketed; apply hadamard_bracket first")
@@ -281,49 +248,43 @@ def compile_circuit(c: GateCircuit, mode: str) -> PathPolynomials:
         if {g.name for g in layer} != {"H"} or {g.qubits[0] for g in layer} != set(range(n)):
             raise ValueError("circuit is not bracketed; apply hadamard_bracket first")
 
-    h_internal = c.hadamard_count - 2 * n
-    max_phase_degree = 3 if mode == "toffoli" else 2
     wires: list[set] = [{(q,)} for q in range(n)]
     phase: set = set()           # psi (toffoli) or phi (t_gate)
     chi: dict[int, int] = {}
-    next_var = n
+    fresh = itertools.count(n)   # the next unused path bit
     closing_start = len(c.gates) - n
+
+    def hadamard(q: int, out_var: int) -> None:
+        for mono in wires[q]:
+            phase.symmetric_difference_update({tuple(sorted((*mono, out_var)))})
+        wires[q] = {(out_var,)}
+
+    def single_bit(q: int) -> int:
+        """The path bit wire q carries, after compiling an HH pair if needed."""
+        if len(wires[q]) != 1 or len(next(iter(wires[q]))) != 1:
+            hadamard(q, next(fresh))
+            hadamard(q, next(fresh))
+        return next(iter(wires[q]))[0]
 
     for pos, g in enumerate(c.gates):
         if g.name == "H":
             q = g.qubits[0]
-            if pos >= closing_start:
-                out_var = q          # closed path: final output is the input bit
-            else:
-                out_var = next_var
-                next_var += 1
-            for mono in wires[q]:
-                term = tuple(sorted(set(mono) | {out_var}))
-                if len(term) > max_phase_degree:
-                    raise DegreeOverflowError(
-                        f"phase term of degree {len(term)} exceeds cap "
-                        f"{max_phase_degree}; run rewrite_for_degree first")
-                if term in phase:
-                    phase.remove(term)
-                else:
-                    phase.add(term)
-            wires[q] = {(out_var,)}
+            # closed path: the closing bracket's output is the input bit
+            hadamard(q, q if pos >= closing_start else next(fresh))
         elif g.name == "T":
-            wire = wires[g.qubits[0]]
-            if len(wire) != 1 or len(next(iter(wire))) != 1:
-                raise DegreeOverflowError(
-                    "T input is not a single path bit; run rewrite_for_degree first")
-            var = next(iter(wire))[0]
+            var = single_bit(g.qubits[0])
             chi[var] = (chi.get(var, 0) + 1) % 8
         elif g.name == "CNOT":
             ctrl, tgt = g.qubits
             wires[tgt] = wires[tgt] ^ wires[ctrl]
         else:  # TOFFOLI
             c1, c2, tgt = g.qubits
-            wires[tgt] = wires[tgt] ^ _poly_mul(wires[c1], wires[c2])
+            a = single_bit(c1)
+            b = single_bit(c2)
+            wires[tgt] = wires[tgt] ^ {tuple(sorted({a, b}))}
 
-    n_path_bits = 2 * n + h_internal
-    assert next_var == n_path_bits, "path-bit allocation out of sync"
+    n_path_bits = next(fresh)
+    h_internal = n_path_bits - 2 * n
     if mode == "toffoli":
         return PathPolynomials(n=n, hadamard_count=h_internal, n_path_bits=n_path_bits,
                                mode=mode, psi=frozenset(phase))
@@ -420,10 +381,14 @@ def sampled_trace(p: PathPolynomials, samples: int, seed: int) -> tuple[complex,
 
     Uniform path sampling; each term is 2**(h/2) times the path's phase, so
     the spread (and the sample cost for fixed accuracy) grows as 2**(h/2).
+    Path indices are uint64, so more than 64 path bits is refused.
     Returns (estimate, standard error of the complex mean).
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if p.n_path_bits > SAMPLE_BIT_LIMIT:
+        raise ValueError(f"sampling needs {p.n_path_bits} path bits; path indices "
+                         f"are {SAMPLE_BIT_LIMIT}-bit, so the limit is {SAMPLE_BIT_LIMIT}")
     rng = philox_stream(seed, 0)
     idx = rng.integers(0, 1 << p.n_path_bits, size=samples, dtype=np.uint64)
     scale = 2.0 ** (p.hadamard_count / 2.0)

@@ -67,7 +67,9 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
 def pauli_expectations(state: Dqc1State) -> tuple[float, float]:
     """(<X>, <Y>) of the special qubit, read from tr(U) directly.
 
-    <X> = alpha Re tr(U)/N and <Y> = -alpha Im tr(U)/N, so that
+    <X> = tr(rho (X (x) I)) = alpha Re tr(U)/N.  The second value is
+    -alpha Im tr(U)/N = -tr(rho (Y (x) I)) for the standard
+    Y = [[0, -i], [i, 0]], i.e. the expectation of -Y, so that
     <X> - i<Y> = alpha tr(U)/N.
     """
     big_n = 2**state.n

@@ -173,7 +173,8 @@ def test_criterion_08_random_ensemble():
 
 
 def _random_bounded_circuit(mode, rng):
-    """Random circuit with n <= 4 whose post-rewrite internal H count is <= 12."""
+    """Random circuit with n <= 4 with at most 12 internal Hadamards once a pair
+    is counted for every T or Toffoli (a bound on the compiled count)."""
     while True:
         n = int(rng.integers(1, 5)) if mode == "t_gate" else int(rng.integers(1, 5))
         c = _draw(n, int(rng.integers(0, 9)), mode, rng)

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from dqc1.pathsum import (CNOT, DegreeOverflowError, Gate, GateCircuit, H,
-                          PathBudgetError, PathPolynomials, T,
-                          TOFFOLI, compile_circuit, dense_trace,
-                          exact_trace_enumeration, format_circuit, gate_matrix,
-                          hadamard_bracket, load_circuit, parse_circuit,
-                          path_class_counts, prepare_circuit,
-                          rewrite_for_degree, sampled_trace, trace_by_counting)
+from dqc1.family import circuit_family
+from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, PathBudgetError,
+                          PathPolynomials, T, TOFFOLI, compile_circuit,
+                          dense_trace, exact_trace_enumeration, format_circuit,
+                          gate_matrix, hadamard_bracket, load_circuit,
+                          parse_circuit, path_class_counts, prepare_circuit,
+                          sampled_trace, trace_by_counting)
 
 
 def random_circuit(n, n_gates, mode, rng):
@@ -83,31 +83,22 @@ def test_bracket_preserves_trace():
 
 
 def test_rewrite_inserts_hadamard_pairs():
-    toff = GateCircuit(3, (TOFFOLI(0, 1, 2),))
-    rewritten = rewrite_for_degree(toff, "toffoli")
-    assert rewritten.hadamard_count == 2
-    assert [g.name for g in rewritten.gates] == ["TOFFOLI", "H", "H"]
-    assert np.allclose(_unitary(rewritten), _unitary(toff), atol=1e-12)
-
-    ts = GateCircuit(1, (T(0), T(0), T(0)))
-    rewritten = rewrite_for_degree(ts, "t_gate")
-    assert rewritten.hadamard_count == 6
-    assert np.allclose(_unitary(rewritten), _unitary(ts), atol=1e-12)
-
-    plain = GateCircuit(2, (CNOT(0, 1), H(0)))
-    assert rewrite_for_degree(plain, "t_gate") == plain
-
-
-def _unitary(c):
-    from dqc1.pathsum import circuit_unitary
-    return circuit_unitary(c)
+    # a pair is compiled only where a T input or a Toffoli control is not one path bit
+    cases = [(GateCircuit(1, (T(0), T(0), T(0))), "t_gate", 0, 2),
+             (GateCircuit(2, (CNOT(0, 1), T(1))), "t_gate", 2, 6),
+             (GateCircuit(3, (TOFFOLI(0, 1, 2),)), "toffoli", 0, 6),
+             (GateCircuit(4, (TOFFOLI(0, 1, 2), TOFFOLI(2, 3, 0))), "toffoli", 2, 10)]
+    for c, mode, h, bits in cases:
+        p = evaluate(c, mode)
+        assert (p.hadamard_count, p.n_path_bits) == (h, bits)
+        assert abs(exact_trace_enumeration(p) - dense_trace(c)) <= 1e-12
 
 
 def test_rewrite_rejects_wrong_gate_set():
     with pytest.raises(ValueError, match="gate set"):
-        rewrite_for_degree(GateCircuit(2, (CNOT(0, 1),)), "toffoli")
+        prepare_circuit(GateCircuit(2, (CNOT(0, 1),)), "toffoli")
     with pytest.raises(ValueError, match="gate set"):
-        rewrite_for_degree(GateCircuit(3, (TOFFOLI(0, 1, 2),)), "t_gate")
+        prepare_circuit(GateCircuit(3, (TOFFOLI(0, 1, 2),)), "t_gate")
 
 
 def test_compile_requires_bracket():
@@ -125,9 +116,10 @@ def test_compile_identity_bracket_only():
 
 def test_compile_single_t():
     p = evaluate(GateCircuit(1, (T(0),)), "t_gate")
-    assert p.n_path_bits == 4 and p.hadamard_count == 2
+    assert p.n_path_bits == 2 and p.hadamard_count == 0
     assert len(p.chi) == 1 and p.chi[0][1] == 1
-    assert all(len(m) == 2 for m in p.phi) and len(p.phi) == 4
+    # the opening and closing bracket terms cancel, as for the bare bracket
+    assert p.phi == frozenset()
     assert exact_trace_enumeration(p) == pytest.approx(1 + cmath.exp(1j * math.pi / 4), abs=1e-12)
 
 
@@ -149,11 +141,25 @@ def test_compile_phi_purely_quadratic_chi_linear():
 
 
 def test_degree_overflow_without_rewrite():
+    # the second Toffoli's first control and the T input are not single path bits;
+    # compiling a pair there keeps psi cubic and phi quadratic
     nested = GateCircuit(4, (TOFFOLI(0, 1, 2), TOFFOLI(2, 3, 0)))
-    with pytest.raises(DegreeOverflowError, match="rewrite"):
-        compile_circuit(hadamard_bracket(nested), "toffoli")
-    with pytest.raises(DegreeOverflowError, match="rewrite"):
-        compile_circuit(hadamard_bracket(GateCircuit(2, (CNOT(0, 1), T(1)))), "t_gate")
+    p = compile_circuit(hadamard_bracket(nested), "toffoli")
+    assert max(len(m) for m in p.psi) == 3
+    assert abs(exact_trace_enumeration(p) - dense_trace(nested)) <= 1e-12
+    linear_t = GateCircuit(2, (CNOT(0, 1), T(1)))
+    p = compile_circuit(hadamard_bracket(linear_t), "t_gate")
+    assert all(len(m) == 2 for m in p.phi)
+    assert abs(exact_trace_enumeration(p) - dense_trace(linear_t)) <= 1e-12
+
+
+def test_family_circuit_compiles_to_2n_plus_4_bits():
+    for n in range(2, 9):
+        p = evaluate(circuit_family(n), "t_gate")
+        assert p.n_path_bits == 2 * n + 4
+        value = exact_trace_enumeration(p)
+        assert abs(value - 2 ** (n - 1)) <= 1e-9
+        assert abs(trace_by_counting(p) - value) <= 1e-12
 
 
 def test_enumeration_matches_dense_on_random_circuits():
@@ -190,7 +196,7 @@ def test_counting_constant_polynomial():
 def test_counting_single_t_bins():
     p = evaluate(GateCircuit(1, (T(0),)), "t_gate")
     diff = path_class_counts(p)[:, 0] - path_class_counts(p)[:, 1]
-    assert diff.tolist() == [4, 4, 0, 0, 0, 0, 0, 0]
+    assert diff.tolist() == [2, 2, 0, 0, 0, 0, 0, 0]
 
 
 def test_enumeration_budget():
@@ -201,9 +207,14 @@ def test_enumeration_budget():
         exact_trace_enumeration(p)
     with pytest.raises(PathBudgetError):
         path_class_counts(p)
-    # sampling has no such budget
+    # sampling has no such budget, only the 64-bit limit of its path indices
     estimate, stderr = sampled_trace(p, 256, seed=0)
     assert np.isfinite(stderr)
+    wide = compile_circuit(hadamard_bracket(GateCircuit(1, tuple(H(0) for _ in range(63)))),
+                           "toffoli")
+    assert wide.n_path_bits == 65
+    with pytest.raises(ValueError, match="65 path bits.*64"):
+        sampled_trace(wide, 256, seed=0)
 
 
 def test_sampled_trace_exact_when_terms_constant():
