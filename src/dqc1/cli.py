@@ -179,7 +179,7 @@ def cmd_trace(args: argparse.Namespace, config: dict[str, str]) -> str:
     if cfg["pathsum"]:
         circuit = pathsum.load_circuit(cfg["pathsum"])
         prepared = pathsum.prepare_circuit(circuit, cfg["mode"])
-        poly = pathsum.compile_circuit(prepared, cfg["mode"])
+        poly = pathsum.compile_circuit(prepared)
         lines.append(f"qubits={circuit.n}")
         lines.append(f"mode={cfg['mode']}")
         lines.append(f"path_bits={poly.n_path_bits}")
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-error", dest="p_error", type=float,
                    help="target failure probability (default 0.01)")
     p.add_argument("--pathsum", help="evaluate the trace of this circuit file instead")
-    p.add_argument("--mode", choices=("toffoli", "t_gate"))
+    p.add_argument("--mode", choices=("toffoli", "t_gate"),
+                   help="gate set the --pathsum circuit must use (default toffoli)")
     p.add_argument("--exact", action="store_const", const=True)
     p.add_argument("--samples", type=int, help="path samples (pathsum mode)")
     p.set_defaults(func=cmd_trace)

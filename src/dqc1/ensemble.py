@@ -72,6 +72,11 @@ def mixing_operator(n: int) -> np.ndarray:
     Basis state b picks up exp(i pi/4 * sum_j (-1)^(b_j xor b_{j+1})); with a
     single qubit the sum is empty and the operator is the identity.
     """
+    return np.diag(_mixing_phases(n))
+
+
+def _mixing_phases(n: int) -> np.ndarray:
+    """The diagonal of :func:`mixing_operator`, without the dense matrix."""
     if n < 1:
         raise ValueError("need n >= 1")
     idx = np.arange(2**n)
@@ -80,7 +85,7 @@ def mixing_operator(n: int) -> np.ndarray:
         b_j = (idx >> (n - 1 - j)) & 1
         b_next = (idx >> (n - 2 - j)) & 1
         total += np.where(b_j == b_next, 1.0, -1.0)
-    return np.diag(np.exp(1j * math.pi / 4 * total))
+    return np.exp(1j * math.pi / 4 * total)
 
 
 def pseudo_random_unitary(params: RandomCircuitParams, sample_index: int = 0) -> np.ndarray:
@@ -90,16 +95,19 @@ def pseudo_random_unitary(params: RandomCircuitParams, sample_index: int = 0) ->
     k draws (theta, phi, chi) for qubits 1..n in order.
     """
     rng = philox_stream(params.seed, sample_index)
-    mix_diag = np.diag(mixing_operator(params.n)) if params.n > 1 else None
-    u = None
+    mix_diag = _mixing_phases(params.n)[:, None] if params.n > 1 else None
+    u = mixed = None
     for _ in range(params.j):
         layer = np.eye(1, dtype=np.complex128)
         for _ in range(params.n):
             layer = np.kron(layer, random_su2(rng))
         if u is None:
-            u = layer
-        else:
-            u = layer @ (mix_diag[:, None] * u) if mix_diag is not None else layer @ u
+            u, mixed = layer, np.empty_like(layer)
+        elif mix_diag is None:
+            u = layer @ u
+        else:  # u <- layer @ (M u), written into u and mixed: no fresh N x N results per layer
+            np.multiply(mix_diag, u, out=mixed)
+            np.matmul(layer, mixed, out=u)
     return u
 
 

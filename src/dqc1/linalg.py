@@ -54,10 +54,6 @@ def unitary_defect(u: np.ndarray) -> float:
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return unitary_defect(u) <= tol
-
-
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = as_complex_matrix(u)
     defect = unitary_defect(u)

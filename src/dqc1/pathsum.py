@@ -3,19 +3,18 @@
 A circuit over {H, T, CNOT, TOFFOLI} is first surrounded by a layer of
 Hadamards on every qubit, which leaves the trace unchanged but removes the
 closed-path restriction.  Tracing each wire as a Z2 polynomial in the path
-bits turns the trace into
+bits turns the trace into one phase form for both gate sets,
 
-    tr(U) = 2**-(n + h/2) * sum_x (-1)**psi(x)                 (H/Toffoli)
-    tr(U) = 2**-(n + h/2) * sum_x exp(i pi chi(x)/4) (-1)**phi(x)   (H/T/CNOT)
+    tr(U) = 2**-(n + h/2) * sum_x exp(i pi chi(x)/4) (-1)**phase(x)
 
 over x in {0,1}**(2n+h), with h the number of Hadamards inside the bracket:
 the circuit's own plus two for each Hadamard pair (HH = I) that compilation
 places on a wire that a T or a Toffoli control needs as one path bit.
-psi is cubic over Z2, phi purely quadratic, and chi a linear form over Z8.
-Evaluating the sum exactly means counting polynomial zeros, which is why the
-exact evaluator carries a hard path-bit budget; the uniform sampling estimator
-has no such budget, only the 64-bit limit of its path indices, but averages
-terms of magnitude 2**(h/2).
+The phase is at most cubic over Z2 (quadratic without Toffolis) and chi a
+linear form over Z8 (zero without T gates).  Evaluating the sum exactly means
+counting polynomial zeros, which is why the exact evaluator carries a hard
+path-bit budget; the uniform sampling estimator has no such budget, only the
+64-bit limit of its path indices, but averages terms of magnitude 2**(h/2).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -83,12 +81,16 @@ class GateCircuit:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
-                raise ValueError(f"gate {g} addresses a qubit >= {self.n}")
+            _check_qubits(g, self.n)
 
     @property
     def hadamard_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "H")
+
+
+def _check_qubits(g: Gate, n: int) -> None:
+    if any(not 0 <= q < n for q in g.qubits):
+        raise ValueError(f"gate {g.name} {g.qubits} addresses a qubit outside 0..{n - 1}")
 
 
 def format_circuit(c: GateCircuit) -> str:
@@ -106,6 +108,8 @@ def parse_circuit(text: str) -> GateCircuit:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise ValueError(f"line 1: bad qubit count in {lines[0]!r}") from None
+    if n < 1:
+        raise ValueError(f"line 1: circuit needs at least one qubit, got {n}")
     gates = []
     for i, line in enumerate(lines[1:], start=2):
         tokens = line.split()
@@ -115,8 +119,8 @@ def parse_circuit(text: str) -> GateCircuit:
         if name not in GATE_ARITY:
             raise ValueError(f"line {i}: unknown gate {tokens[0]!r}")
         try:
-            qubits = tuple(int(a) for a in args)
-            gates.append(Gate(name, qubits))
+            gates.append(Gate(name, tuple(int(a) for a in args)))
+            _check_qubits(gates[-1], n)
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
     return GateCircuit(n=n, gates=tuple(gates))
@@ -153,13 +157,11 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
             out = np.kron(out, base if q == g.qubits[0] else np.eye(2))
         return out
     cols = np.arange(dim)
-    if g.name == "CNOT":
-        c, t = g.qubits
-        rows = cols ^ (((cols >> (n - 1 - c)) & 1) << (n - 1 - t))
-    else:  # TOFFOLI
-        c1, c2, t = g.qubits
-        both = ((cols >> (n - 1 - c1)) & 1) & ((cols >> (n - 1 - c2)) & 1)
-        rows = cols ^ (both << (n - 1 - t))
+    *controls, t = g.qubits       # CNOT or TOFFOLI: flip t where every control is 1
+    on = np.ones(dim, dtype=cols.dtype)
+    for c in controls:
+        on &= (cols >> (n - 1 - c)) & 1
+    rows = cols ^ (on << (n - 1 - t))
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[rows, cols] = 1.0
     return m
@@ -190,69 +192,63 @@ def hadamard_bracket(c: GateCircuit) -> GateCircuit:
 
 
 def prepare_circuit(c: GateCircuit, mode: str) -> GateCircuit:
-    """Check the gate set, then bracket: the form :func:`compile_circuit` expects."""
-    _check_gate_set(c, mode)
-    return hadamard_bracket(c)
-
-
-def _check_gate_set(c: GateCircuit, mode: str) -> None:
+    """Check the gate set ``mode`` names, then bracket: the form :func:`compile_circuit` expects."""
     if mode not in MODE_GATES:
         raise ValueError(f"mode must be one of {sorted(MODE_GATES)}, got {mode!r}")
     for g in c.gates:
         if g.name not in MODE_GATES[mode]:
             raise ValueError(f"gate {g.name} not in the {mode!r} gate set")
+    return hadamard_bracket(c)
 
 
 # ---------------------------------------------------------------------------
-# compilation to path polynomials
+# compilation to the phase form
 
 @dataclass(frozen=True)
 class PathPolynomials:
-    """Phase polynomials of a bracketed circuit over its path bits.
+    """Phase form of a bracketed circuit over its path bits, with
 
-    Path bits are numbered: inputs 0..n-1, then the opening bracket-H outputs,
-    then internal-H outputs in circuit order, the compiled Hadamard pairs
-    included.  The closing bracket's outputs are the input bits again, which
-    is what restricts the sum to closed paths.  ``hadamard_count`` counts every
-    internal Hadamard, two per compiled pair.  Monomials are sorted variable
-    tuples; chi maps path bits to Z8 coefficients.
+        tr(U) = 2**-(n + h/2) * sum_x exp(i pi chi(x)/4) (-1)**phase(x)
+
+    and h = ``hadamard_count``.  Path bits are numbered: inputs 0..n-1, then
+    the opening bracket-H outputs, then internal-H outputs in circuit order,
+    the compiled Hadamard pairs included.  The closing bracket's outputs are
+    the input bits again, which is what restricts the sum to closed paths.
+    ``hadamard_count`` counts every internal Hadamard, two per compiled pair.
+    ``phase`` is a set of Z2 monomials (sorted variable tuples), at most
+    cubic; ``chi`` maps path bits to nonzero Z8 coefficients and is empty for
+    a circuit without T.
     """
 
     n: int
     hadamard_count: int
     n_path_bits: int
-    mode: str
-    psi: frozenset | None = None
-    phi: frozenset | None = None
-    chi: tuple[tuple[int, int], ...] | None = None
+    phase: frozenset
+    chi: tuple[tuple[int, int], ...]
 
 
-def compile_circuit(c: GateCircuit, mode: str) -> PathPolynomials:
-    """Forward symbolic pass turning a bracketed circuit into its path
-    polynomials.
+def compile_circuit(c: GateCircuit) -> PathPolynomials:
+    """Forward symbolic pass turning a bracketed circuit into its phase form
+    (see :class:`PathPolynomials` for the trace formula).
 
     Every wire is tracked as a Z2 polynomial in the path bits.  A Hadamard
-    contributes (wire * fresh output) to the phase polynomial and resets the
-    wire; CNOT and Toffoli update wires deterministically; T adds its input
-    bit to the Z8 form.  Where a T input or a Toffoli control is not one path
-    bit, two Hadamards are compiled on that wire first (HH = I), so the wire
-    becomes a fresh bit.  Wires then stay linear in t_gate mode and at most
-    quadratic in toffoli mode, which keeps phi quadratic and psi cubic.
+    contributes (wire * fresh output) to the phase and resets the wire; CNOT
+    and Toffoli update wires deterministically; T adds its input bit to the
+    Z8 form chi.  Where a T input or a Toffoli control is not one path bit,
+    two Hadamards are compiled on that wire first (HH = I), so the wire
+    becomes a fresh bit.  Wires then stay at most quadratic (linear without
+    Toffolis), which keeps the phase at most cubic (quadratic) for any mix
+    of the four gates.
     """
-    _check_gate_set(c, mode)
     n = c.n
-    if len(c.gates) < 2 * n:
+    layer = {H(q) for q in range(n)}
+    if len(c.gates) < 2 * n or set(c.gates[:n]) != layer or set(c.gates[-n:]) != layer:
         raise ValueError("circuit is not bracketed; apply hadamard_bracket first")
-    opening, closing = c.gates[:n], c.gates[-n:]
-    for layer in (opening, closing):
-        if {g.name for g in layer} != {"H"} or {g.qubits[0] for g in layer} != set(range(n)):
-            raise ValueError("circuit is not bracketed; apply hadamard_bracket first")
 
     wires: list[set] = [{(q,)} for q in range(n)]
-    phase: set = set()           # psi (toffoli) or phi (t_gate)
+    phase: set = set()
     chi: dict[int, int] = {}
     fresh = itertools.count(n)   # the next unused path bit
-    closing_start = len(c.gates) - n
 
     def hadamard(q: int, out_var: int) -> None:
         for mono in wires[q]:
@@ -266,11 +262,9 @@ def compile_circuit(c: GateCircuit, mode: str) -> PathPolynomials:
             hadamard(q, next(fresh))
         return next(iter(wires[q]))[0]
 
-    for pos, g in enumerate(c.gates):
+    for g in c.gates[:-n]:
         if g.name == "H":
-            q = g.qubits[0]
-            # closed path: the closing bracket's output is the input bit
-            hadamard(q, q if pos >= closing_start else next(fresh))
+            hadamard(g.qubits[0], next(fresh))
         elif g.name == "T":
             var = single_bit(g.qubits[0])
             chi[var] = (chi.get(var, 0) + 1) % 8
@@ -279,40 +273,42 @@ def compile_circuit(c: GateCircuit, mode: str) -> PathPolynomials:
             wires[tgt] = wires[tgt] ^ wires[ctrl]
         else:  # TOFFOLI
             c1, c2, tgt = g.qubits
-            a = single_bit(c1)
-            b = single_bit(c2)
-            wires[tgt] = wires[tgt] ^ {tuple(sorted({a, b}))}
+            monomial = tuple(sorted((single_bit(c1), single_bit(c2))))
+            wires[tgt] = wires[tgt] ^ {monomial}
+    for g in c.gates[-n:]:   # closed path: the closing bracket's output is the input bit
+        hadamard(g.qubits[0], g.qubits[0])
 
     n_path_bits = next(fresh)
-    h_internal = n_path_bits - 2 * n
-    if mode == "toffoli":
-        return PathPolynomials(n=n, hadamard_count=h_internal, n_path_bits=n_path_bits,
-                               mode=mode, psi=frozenset(phase))
-    chi_form = tuple(sorted((v, k) for v, k in chi.items() if k))
-    return PathPolynomials(n=n, hadamard_count=h_internal, n_path_bits=n_path_bits,
-                           mode=mode, phi=frozenset(phase), chi=chi_form)
+    return PathPolynomials(n=n, hadamard_count=n_path_bits - 2 * n, n_path_bits=n_path_bits,
+                           phase=frozenset(phase),
+                           chi=tuple(sorted((v, k) for v, k in chi.items() if k)))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _poly_values(monomials: Iterable[tuple[int, ...]], idx: np.ndarray) -> np.ndarray:
-    """Z2 polynomial values on the path indices in ``idx`` (bit v of an index
-    is the value of path bit v)."""
-    acc = np.zeros(idx.shape, dtype=np.uint8)
-    for mono in monomials:
-        bit = np.ones(idx.shape, dtype=np.uint8)
-        for v in mono:
-            bit &= (idx >> np.uint64(v)).astype(np.uint8) & np.uint8(1)
-        acc ^= bit
-    return acc
+_OMEGA = np.exp(1j * math.pi / 4 * np.arange(8))
+# exp(i pi c/4) (-1)**b, indexed by the phase class 2c + b
+_AMPLITUDE = (np.array([1.0, -1.0]) * _OMEGA[:, None]).reshape(16)
 
 
-def _chi_values(chi: tuple[tuple[int, int], ...], idx: np.ndarray) -> np.ndarray:
-    acc = np.zeros(idx.shape, dtype=np.uint8)
-    for v, coeff in chi:
-        acc += np.uint8(coeff) * ((idx >> np.uint64(v)).astype(np.uint8) & np.uint8(1))
-    return acc & np.uint8(7)
+def _bit(idx: np.ndarray, v: int) -> np.ndarray:
+    return (idx >> np.uint64(v)).astype(np.uint8) & np.uint8(1)
+
+
+def _path_classes(p: PathPolynomials, idx: np.ndarray) -> np.ndarray:
+    """Phase class 2*chi(x) + phase(x), in 0..15, of each path index in
+    ``idx`` (bit v of an index is the value of path bit v)."""
+    cls = np.zeros(idx.shape, dtype=np.uint8)
+    for v, coeff in p.chi:
+        cls += np.uint8(2 * coeff) * _bit(idx, v)
+    cls &= np.uint8(14)          # 2*chi(x) mod 16; bit 0 is left for the phase
+    for mono in p.phase:
+        term = _bit(idx, mono[0])
+        for v in mono[1:]:
+            term &= _bit(idx, v)
+        cls ^= term
+    return cls
 
 
 def _norm(p: PathPolynomials) -> float:
@@ -320,60 +316,39 @@ def _norm(p: PathPolynomials) -> float:
 
 
 def _chunks(n_bits: int):
+    """All path indices, in chunks; exact evaluation stops at the budget here."""
+    if n_bits > PATH_BIT_BUDGET:
+        raise PathBudgetError(
+            f"enumeration needs {n_bits} path bits; budget is {PATH_BIT_BUDGET}")
     total = 1 << n_bits
     step = 1 << min(n_bits, _CHUNK_BITS)
     for start in range(0, total, step):
         yield np.arange(start, start + step, dtype=np.uint64)
 
 
-_OMEGA = np.exp(1j * math.pi / 4 * np.arange(8))
-
-
 def exact_trace_enumeration(p: PathPolynomials) -> complex:
     """Exact trace by summing the amplitude of every allowed path."""
-    if p.n_path_bits > PATH_BIT_BUDGET:
-        raise PathBudgetError(
-            f"enumeration needs {p.n_path_bits} path bits; budget is {PATH_BIT_BUDGET}")
     re_parts, im_parts = [], []
     for idx in _chunks(p.n_path_bits):
-        if p.mode == "toffoli":
-            psi = _poly_values(p.psi, idx)
-            re_parts.append(float(idx.size - 2 * int(psi.sum(dtype=np.int64))))
-            im_parts.append(0.0)
-        else:
-            sign = 1.0 - 2.0 * _poly_values(p.phi, idx).astype(np.float64)
-            amp = sign * _OMEGA[_chi_values(p.chi, idx)]
-            re_parts.append(float(np.sum(amp.real)))
-            im_parts.append(float(np.sum(amp.imag)))
+        amp = _AMPLITUDE[_path_classes(p, idx)]
+        re_parts.append(float(np.sum(amp.real)))
+        im_parts.append(float(np.sum(amp.imag)))
     return _norm(p) * complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 def path_class_counts(p: PathPolynomials) -> np.ndarray:
-    """Tally paths by phase class: shape (2,) of psi values in toffoli mode,
-    (8, 2) of (chi, phi) values in t_gate mode."""
-    if p.n_path_bits > PATH_BIT_BUDGET:
-        raise PathBudgetError(
-            f"counting needs {p.n_path_bits} path bits; budget is {PATH_BIT_BUDGET}")
-    if p.mode == "toffoli":
-        counts = np.zeros(2, dtype=np.int64)
-        for idx in _chunks(p.n_path_bits):
-            ones = int(_poly_values(p.psi, idx).sum(dtype=np.int64))
-            counts += (idx.size - ones, ones)
-        return counts
+    """Tally paths by phase class: shape (8, 2), entry [c, b] counting the
+    paths with chi = c and phase = b."""
     counts = np.zeros(16, dtype=np.int64)
     for idx in _chunks(p.n_path_bits):
-        cls = 2 * _chi_values(p.chi, idx).astype(np.int64) + _poly_values(p.phi, idx)
-        counts += np.bincount(cls, minlength=16)
+        counts += np.bincount(_path_classes(p, idx), minlength=16)
     return counts.reshape(8, 2)
 
 
 def trace_by_counting(p: PathPolynomials) -> complex:
     """Trace reconstructed from the per-class path counts."""
     counts = path_class_counts(p)
-    if p.mode == "toffoli":
-        return _norm(p) * complex(int(counts[0] - counts[1]))
-    diff = counts[:, 0] - counts[:, 1]
-    return _norm(p) * complex(np.sum(_OMEGA * diff))
+    return _norm(p) * complex(np.sum(_OMEGA * (counts[:, 0] - counts[:, 1])))
 
 
 def sampled_trace(p: PathPolynomials, samples: int, seed: int) -> tuple[complex, float]:
@@ -391,12 +366,7 @@ def sampled_trace(p: PathPolynomials, samples: int, seed: int) -> tuple[complex,
                          f"are {SAMPLE_BIT_LIMIT}-bit, so the limit is {SAMPLE_BIT_LIMIT}")
     rng = philox_stream(seed, 0)
     idx = rng.integers(0, 1 << p.n_path_bits, size=samples, dtype=np.uint64)
-    scale = 2.0 ** (p.hadamard_count / 2.0)
-    if p.mode == "toffoli":
-        z = scale * (1.0 - 2.0 * _poly_values(p.psi, idx).astype(np.float64)) + 0j
-    else:
-        sign = 1.0 - 2.0 * _poly_values(p.phi, idx).astype(np.float64)
-        z = scale * sign * _OMEGA[_chi_values(p.chi, idx)]
+    z = 2.0 ** (p.hadamard_count / 2.0) * _AMPLITUDE[_path_classes(p, idx)]
     estimate = complex(z.mean())
     stderr = math.sqrt(float(np.sum(np.abs(z - estimate) ** 2)) / (samples * (samples - 1)))
     return estimate, stderr

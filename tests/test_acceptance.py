@@ -203,20 +203,20 @@ def test_criterion_09_path_sum():
     for mode in ("toffoli", "t_gate"):
         for _ in range(100):
             c = _random_bounded_circuit(mode, rng)
-            poly = compile_circuit(prepare_circuit(c, mode), mode)
+            poly = compile_circuit(prepare_circuit(c, mode))
             value = exact_trace_enumeration(poly)
             worst_oracle = max(worst_oracle, abs(value - dense_trace(c)))
             worst_counting = max(worst_counting, abs(value - trace_by_counting(poly)))
             if mode == "toffoli":
                 worst_imag = max(worst_imag, abs(value.imag))
     fixed = (exact_trace_enumeration(compile_circuit(
-                 prepare_circuit(GateCircuit(2, (CNOT(0, 1),)), "t_gate"), "t_gate")) == 2.0,
+                 prepare_circuit(GateCircuit(2, (CNOT(0, 1),)), "t_gate"))) == 2.0,
              exact_trace_enumeration(compile_circuit(
-                 prepare_circuit(GateCircuit(3, (TOFFOLI(0, 1, 2),)), "toffoli"), "toffoli")) == 6.0,
+                 prepare_circuit(GateCircuit(3, (TOFFOLI(0, 1, 2),)), "toffoli"))) == 6.0,
              exact_trace_enumeration(compile_circuit(
-                 prepare_circuit(GateCircuit(1, (H(0),)), "toffoli"), "toffoli")) == 0.0,
+                 prepare_circuit(GateCircuit(1, (H(0),)), "toffoli"))) == 0.0,
              abs(exact_trace_enumeration(compile_circuit(
-                 prepare_circuit(GateCircuit(1, (T(0),)), "t_gate"), "t_gate"))
+                 prepare_circuit(GateCircuit(1, (T(0),)), "t_gate")))
                  - (1 + cmath.exp(1j * math.pi / 4))) <= 1e-15)
     elapsed = time.time() - t0
     ok = (worst_oracle <= 1e-9 and worst_imag <= 1e-12 and worst_counting <= 1e-12

@@ -4,7 +4,7 @@ import pytest
 from conftest import haar_unitary
 from dqc1.cli import main
 from dqc1.linalg import save_unitary
-from dqc1.pathsum import CNOT, GateCircuit, H, T, save_circuit
+from dqc1.pathsum import CNOT, GateCircuit, H, T, TOFFOLI, save_circuit
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +122,32 @@ def test_trace_pathsum_exact(capsys, tmp_path):
     assert float(report["trace_re"]) == pytest.approx(float(report["dense_re"]), abs=1e-9)
     assert float(report["trace_im"]) == pytest.approx(float(report["dense_im"]), abs=1e-9)
     assert float(report["counting_re"]) == pytest.approx(float(report["trace_re"]), abs=1e-12)
+
+
+GOLDEN_PATHSUM_EXACT = [
+    ("toffoli", GateCircuit(3, (H(0), TOFFOLI(0, 1, 2), H(2), TOFFOLI(2, 0, 1), H(1),
+                                TOFFOLI(1, 2, 0))),
+     ["qubits=3", "mode=toffoli", "path_bits=9",
+      "trace_re=0.70710678118654757", "trace_im=0",
+      "counting_re=0.70710678118654757", "counting_im=0",
+      "dense_re=0.70710678118654735", "dense_im=0"]),
+    ("t_gate", GateCircuit(2, (H(0), T(0), CNOT(0, 1), T(1), H(1), T(1), T(0))),
+     ["qubits=2", "mode=t_gate", "path_bits=8",
+      "trace_re=1.2071067811865475", "trace_im=-1.2071067811865475",
+      "counting_re=1.2071067811865475", "counting_im=-1.2071067811865475",
+      "dense_re=1.207106781186547", "dense_im=-1.2071067811865475"]),
+]
+
+
+@pytest.mark.parametrize("mode,circuit,expected", GOLDEN_PATHSUM_EXACT,
+                         ids=[mode for mode, _, _ in GOLDEN_PATHSUM_EXACT])
+def test_trace_pathsum_exact_golden_bytes(capsys, tmp_path, mode, circuit, expected):
+    # the exact path-sum report is pinned to the bytes below, in both gate sets
+    path = tmp_path / "circuit.txt"
+    save_circuit(path, circuit)
+    code, out, _ = run_cli(capsys, "trace", "--pathsum", str(path), "--mode", mode, "--exact")
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_trace_pathsum_sampled(capsys, tmp_path):

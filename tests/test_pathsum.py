@@ -14,10 +14,13 @@ from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, PathBudgetError,
 
 
 def random_circuit(n, n_gates, mode, rng):
+    """Random circuit over the ``mode`` gate set, or over all four gates for "mixed"."""
     gates = []
     for _ in range(n_gates):
         if mode == "toffoli":
             kind = str(rng.choice(["H", "TOFFOLI"])) if n >= 3 else "H"
+        elif mode == "mixed":
+            kind = str(rng.choice(["H", "T", "CNOT", "TOFFOLI"][:min(n, 3) + 1]))
         else:
             kind = str(rng.choice(["H", "T", "CNOT"])) if n >= 2 else str(rng.choice(["H", "T"]))
         qs = [int(q) for q in rng.choice(n, size={"H": 1, "T": 1, "CNOT": 2, "TOFFOLI": 3}[kind],
@@ -27,7 +30,7 @@ def random_circuit(n, n_gates, mode, rng):
 
 
 def evaluate(circuit, mode):
-    return compile_circuit(prepare_circuit(circuit, mode), mode)
+    return compile_circuit(prepare_circuit(circuit, mode))
 
 
 def test_gate_validation():
@@ -39,6 +42,10 @@ def test_gate_validation():
         Gate("H", (0, 1))
     with pytest.raises(ValueError, match="addresses"):
         GateCircuit(2, (H(2),))
+    with pytest.raises(ValueError, match="addresses a qubit outside 0..1"):
+        GateCircuit(2, (H(-1), T(-1), H(-1)))
+    with pytest.raises(ValueError, match="addresses"):
+        GateCircuit(3, (TOFFOLI(0, -1, 2),))
 
 
 def test_circuit_text_round_trip():
@@ -51,6 +58,13 @@ def test_circuit_parse_errors(tmp_path):
         parse_circuit("3 qubits\nH 0\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_circuit("qubits 2\nH 0\nSWAP 0 1\n")
+    # negative indices must not wrap around to the last qubit
+    with pytest.raises(ValueError, match="line 2: .*outside"):
+        parse_circuit("qubits 2\nH -1\nT -1\nH -1\n")
+    with pytest.raises(ValueError, match="line 3: .*outside 0..1"):
+        parse_circuit("qubits 2\nH 0\nT 5\n")
+    with pytest.raises(ValueError, match="line 1: .*at least one qubit"):
+        parse_circuit("qubits 0\n")
     path = tmp_path / "c.txt"
     path.write_text("qubits 2\nCNOT 0\n")
     with pytest.raises(ValueError, match="line 2"):
@@ -103,14 +117,14 @@ def test_rewrite_rejects_wrong_gate_set():
 
 def test_compile_requires_bracket():
     with pytest.raises(ValueError, match="bracket"):
-        compile_circuit(GateCircuit(2, (CNOT(0, 1),)), "t_gate")
+        compile_circuit(GateCircuit(2, (CNOT(0, 1),)))
 
 
 def test_compile_identity_bracket_only():
-    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())), "toffoli")
+    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())))
     assert p.n_path_bits == 2 and p.hadamard_count == 0
     # the opening and closing Hadamard terms coincide and cancel mod 2
-    assert p.psi == frozenset()
+    assert p.phase == frozenset() and p.chi == ()
     assert exact_trace_enumeration(p) == 2.0
 
 
@@ -119,7 +133,7 @@ def test_compile_single_t():
     assert p.n_path_bits == 2 and p.hadamard_count == 0
     assert len(p.chi) == 1 and p.chi[0][1] == 1
     # the opening and closing bracket terms cancel, as for the bare bracket
-    assert p.phi == frozenset()
+    assert p.phase == frozenset()
     assert exact_trace_enumeration(p) == pytest.approx(1 + cmath.exp(1j * math.pi / 4), abs=1e-12)
 
 
@@ -128,7 +142,7 @@ def test_compile_psi_stays_cubic():
     for trial in range(20):
         c = random_circuit(3, int(rng.integers(1, 8)), "toffoli", rng)
         p = evaluate(c, "toffoli")
-        assert max((len(m) for m in p.psi), default=0) <= 3
+        assert max((len(m) for m in p.phase), default=0) <= 3 and p.chi == ()
 
 
 def test_compile_phi_purely_quadratic_chi_linear():
@@ -136,20 +150,20 @@ def test_compile_phi_purely_quadratic_chi_linear():
     for trial in range(20):
         c = random_circuit(3, int(rng.integers(1, 8)), "t_gate", rng)
         p = evaluate(c, "t_gate")
-        assert all(len(m) == 2 for m in p.phi)
+        assert all(len(m) == 2 for m in p.phase)
         assert all(1 <= coeff <= 7 for _, coeff in p.chi)
 
 
 def test_degree_overflow_without_rewrite():
     # the second Toffoli's first control and the T input are not single path bits;
-    # compiling a pair there keeps psi cubic and phi quadratic
+    # compiling a pair there keeps the phase cubic, and quadratic without Toffolis
     nested = GateCircuit(4, (TOFFOLI(0, 1, 2), TOFFOLI(2, 3, 0)))
-    p = compile_circuit(hadamard_bracket(nested), "toffoli")
-    assert max(len(m) for m in p.psi) == 3
+    p = compile_circuit(hadamard_bracket(nested))
+    assert max(len(m) for m in p.phase) == 3
     assert abs(exact_trace_enumeration(p) - dense_trace(nested)) <= 1e-12
     linear_t = GateCircuit(2, (CNOT(0, 1), T(1)))
-    p = compile_circuit(hadamard_bracket(linear_t), "t_gate")
-    assert all(len(m) == 2 for m in p.phi)
+    p = compile_circuit(hadamard_bracket(linear_t))
+    assert all(len(m) == 2 for m in p.phase)
     assert abs(exact_trace_enumeration(p) - dense_trace(linear_t)) <= 1e-12
 
 
@@ -176,20 +190,31 @@ def test_enumeration_matches_dense_on_random_circuits():
         if mode == "toffoli":
             assert abs(value.imag) <= 1e-12
         assert abs(trace_by_counting(p) - value) <= 1e-12
+    # circuits mixing all four gates compile to the same phase form, with no gate-set check
+    rng = np.random.default_rng(3)
+    for trial in range(30):
+        n = int(rng.integers(1, 5))
+        c = random_circuit(n, int(rng.integers(0, 9)), "mixed", rng)
+        p = compile_circuit(hadamard_bracket(c))
+        if p.n_path_bits > 22:
+            continue
+        assert max((len(m) for m in p.phase), default=0) <= 3
+        value = exact_trace_enumeration(p)
+        assert abs(value - dense_trace(c)) <= 1e-9
+        assert abs(trace_by_counting(p) - value) <= 1e-12
 
 
 def test_counting_fixed_points():
-    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())), "toffoli")
+    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())))
     counts = path_class_counts(p)
-    assert counts.tolist() == [4, 0]
+    assert counts.tolist() == [[4, 0]] + [[0, 0]] * 7
     assert trace_by_counting(p) == 2.0
 
 
 def test_counting_constant_polynomial():
-    p = PathPolynomials(n=2, hadamard_count=0, n_path_bits=4, mode="toffoli",
-                        psi=frozenset())
+    p = PathPolynomials(n=2, hadamard_count=0, n_path_bits=4, phase=frozenset(), chi=())
     counts = path_class_counts(p)
-    assert counts.tolist() == [16, 0]
+    assert counts.tolist() == [[16, 0]] + [[0, 0]] * 7
     assert trace_by_counting(p) == 4.0  # 2**(n + h/2) when every path adds +1
 
 
@@ -201,7 +226,7 @@ def test_counting_single_t_bins():
 
 def test_enumeration_budget():
     big = hadamard_bracket(GateCircuit(1, tuple(H(0) for _ in range(30))))
-    p = compile_circuit(big, "toffoli")
+    p = compile_circuit(big)
     assert p.n_path_bits == 32
     with pytest.raises(PathBudgetError, match="32"):
         exact_trace_enumeration(p)
@@ -210,15 +235,14 @@ def test_enumeration_budget():
     # sampling has no such budget, only the 64-bit limit of its path indices
     estimate, stderr = sampled_trace(p, 256, seed=0)
     assert np.isfinite(stderr)
-    wide = compile_circuit(hadamard_bracket(GateCircuit(1, tuple(H(0) for _ in range(63)))),
-                           "toffoli")
+    wide = compile_circuit(hadamard_bracket(GateCircuit(1, tuple(H(0) for _ in range(63)))))
     assert wide.n_path_bits == 65
     with pytest.raises(ValueError, match="65 path bits.*64"):
         sampled_trace(wide, 256, seed=0)
 
 
 def test_sampled_trace_exact_when_terms_constant():
-    p = compile_circuit(hadamard_bracket(GateCircuit(2, ())), "toffoli")
+    p = compile_circuit(hadamard_bracket(GateCircuit(2, ())))
     estimate, stderr = sampled_trace(p, 100, seed=4)
     assert estimate == 1.0 and stderr == 0.0
 
@@ -251,6 +275,6 @@ def test_sampled_magnitude_grows_with_hadamards():
 
 
 def test_sampled_trace_needs_two_samples():
-    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())), "toffoli")
+    p = compile_circuit(hadamard_bracket(GateCircuit(1, ())))
     with pytest.raises(ValueError, match="samples"):
         sampled_trace(p, 1, seed=0)
