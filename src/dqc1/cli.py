@@ -3,8 +3,9 @@
 Subcommands: negativity | sweep | bounds | trace | family-verify.  Output is
 CSV (or key=value report lines for `trace`), written to stdout or --output.
 Given identical flags and seeds the emitted bytes are identical across runs
-at a fixed BLAS thread count (the eigenvalue route's last digits change with
-it); floats are fixed at 17 significant digits with no locale formatting.  Flag
+at a fixed BLAS thread count (the last digits of both spectrum routes and of
+the random unitary product change with it); floats are fixed at 17
+significant digits with no locale formatting.  Flag
 values override an optional key=value --config file, which overrides built-in
 defaults.  Thread count is controlled only through the BLAS environment
 variables (e.g. OMP_NUM_THREADS).

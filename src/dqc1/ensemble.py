@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linalg import Bipartition
-from .negativity import negativity_eigen
+from .negativity import negativity_singular
 from .rng import philox_stream
 from .state import build_state
 
@@ -48,22 +48,31 @@ class SweepStats:
         return self.partition.k
 
 
-def su2_rotation(theta: float, phi: float, chi: float) -> np.ndarray:
-    """The rotation [[e^{i phi} cos, e^{i chi} sin], [-e^{-i chi} sin, e^{-i phi} cos]]."""
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([[np.exp(1j * phi) * ct, np.exp(1j * chi) * st],
-                     [-np.exp(-1j * chi) * st, np.exp(-1j * phi) * ct]])
+def su2_rotation(theta, phi, chi) -> np.ndarray:
+    """The rotation [[e^{i phi} cos, e^{i chi} sin], [-e^{-i chi} sin, e^{-i phi} cos]].
 
-
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """One random rotation: theta uniform on [0, pi/2], phi and chi on [0, 2 pi).
-
-    Draw order is theta, phi, chi (three uniforms per call).
+    Array arguments broadcast to a stack of rotations of shape (..., 2, 2).
     """
-    theta = rng.uniform(0.0, math.pi / 2)
-    phi = rng.uniform(0.0, 2 * math.pi)
-    chi = rng.uniform(0.0, 2 * math.pi)
-    return su2_rotation(theta, phi, chi)
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([np.exp(1j * phi) * ct, np.exp(1j * chi) * st], axis=-1),
+                     np.stack([-np.exp(-1j * chi) * st, np.exp(-1j * phi) * ct], axis=-1)],
+                    axis=-2)
+
+
+# theta, phi and chi are uniform on [0, span)
+_ANGLE_SPANS = (math.pi / 2, 2 * math.pi, 2 * math.pi)
+
+
+def random_su2(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Random rotations: theta uniform on [0, pi/2], phi and chi on [0, 2 pi).
+
+    One rotation, or ``count`` of them stacked as (count, 2, 2).  Draw order is
+    theta, phi, chi (three uniforms per rotation), rotation by rotation, so a
+    stack consumes the stream exactly as ``count`` single calls do.
+    """
+    size = (3,) if count is None else (count, 3)
+    angles = rng.uniform(0.0, _ANGLE_SPANS, size=size)
+    return su2_rotation(angles[..., 0], angles[..., 1], angles[..., 2])
 
 
 def mixing_operator(n: int) -> np.ndarray:
@@ -91,24 +100,45 @@ def _mixing_phases(n: int) -> np.ndarray:
 def pseudo_random_unitary(params: RandomCircuitParams, sample_index: int = 0) -> np.ndarray:
     """R_j M R_{j-1} ... M R_2 M R_1 with fresh rotations on every qubit per layer.
 
-    Bit-reproducible: the stream is Philox keyed (seed, sample_index), and layer
-    k draws (theta, phi, chi) for qubits 1..n in order.
+    Each layer R_k = L (x) R' is applied in factored form, never as a dense
+    N x N matrix: L acts on the first hi = ceil(n/2) qubits with one matmul on
+    U reshaped to (2^hi, 2^lo N), and R' on the other lo = floor(n/2) with one
+    batched matmul, so a layer costs O(N^2 (2^hi + 2^lo)) instead of O(N^3).
+
+    Bit-reproducible at a fixed BLAS thread count: the stream is Philox keyed
+    (seed, sample_index), and layer k draws (theta, phi, chi) for qubits 1..n
+    in order.
     """
     rng = philox_stream(params.seed, sample_index)
-    mix_diag = _mixing_phases(params.n)[:, None] if params.n > 1 else None
-    u = mixed = None
+    n = params.n
+    big_n = 2**n
+    mix_diag = _mixing_phases(n)[:, None] if n > 1 else None
+    u, mixed = None, np.empty((big_n, big_n), dtype=np.complex128)
     for _ in range(params.j):
-        layer = np.eye(1, dtype=np.complex128)
-        for _ in range(params.n):
-            layer = np.kron(layer, random_su2(rng))
+        left, right = _layer_factors(rng, n)
         if u is None:
-            u, mixed = layer, np.empty_like(layer)
-        elif mix_diag is None:
-            u = layer @ u
-        else:  # u <- layer @ (M u), written into u and mixed: no fresh N x N results per layer
-            np.multiply(mix_diag, u, out=mixed)
-            np.matmul(layer, mixed, out=u)
+            u = np.kron(left, right)
+            continue
+        if mix_diag is not None:
+            np.multiply(mix_diag, u, out=u)
+        # u <- (L (x) R') u: L mixes the 2^hi row blocks, R' the rows inside each block
+        blocks = len(left)
+        np.matmul(left, u.reshape(blocks, -1), out=mixed.reshape(blocks, -1))
+        np.matmul(right, mixed.reshape(blocks, -1, big_n), out=u.reshape(blocks, -1, big_n))
     return u
+
+
+def _layer_factors(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's rotations as (L, R'): Kronecker products over qubits 1..ceil(n/2)
+    and over the rest, drawn qubit by qubit in register order."""
+    rotations = random_su2(rng, n)
+    factors = []
+    for group in (rotations[:(n + 1) // 2], rotations[(n + 1) // 2:]):
+        f = np.ones((1, 1), dtype=np.complex128)
+        for r in group:  # np.kron(f, r), without its per-call overhead
+            f = (f[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(f), 2 * len(f))
+        factors.append(f)
+    return factors[0], factors[1]
 
 
 def half_split_k(n_plus_1: int) -> int:
@@ -141,10 +171,13 @@ def negativity_sweep(n_plus_1_values: Iterable[int],
     """Mean and sample standard deviation of M over pseudo-random registers.
 
     For each register size, ``samples`` unitaries are drawn (one Philox stream
-    per (seed, sample index)), the alpha = 1 output state is built, and M is
-    evaluated for every requested trailing-k division; the same unitaries serve
-    all divisions of one size.  ``split`` is "half", "all", a k, or a list of
-    k.  Means use compensated summation so the reduction order is immaterial.
+    per (seed, sample index)), and M of the alpha = 1 output state is evaluated
+    for every requested trailing-k division by the singular values of the
+    N x N partially transposed U; the same unitaries serve all divisions of one
+    size.  The 2N x 2N state is never built, and needs no density-matrix
+    validation: it is one by construction from the validated U.  ``split`` is
+    "half", "all", a k, or a list of k.  Means use compensated summation so the
+    reduction order is immaterial.
     """
     results = []
     for n_plus_1 in n_plus_1_values:
@@ -161,7 +194,7 @@ def negativity_sweep(n_plus_1_values: Iterable[int],
             state = build_state(u, 1.0)
             for k in ks:
                 part = Bipartition.trailing(n_plus_1, k)
-                values[k].append(negativity_eigen(state.rho, part).m_value)
+                values[k].append(negativity_singular(state, part).m_value)
         for k in ks:
             mean = math.fsum(values[k]) / count
             var = math.fsum((v - mean) ** 2 for v in values[k]) / (count - 1)

@@ -38,10 +38,16 @@ def negativity_eigen(rho: np.ndarray, part: Bipartition) -> NegativityResult:
     """M and N from the eigenvalues of the partial transpose of ``rho``."""
     rho = require_density(rho)
     lam = hermitian_eigenvalues(partial_transpose(rho, part))
+    return _from_spectrum(lam, part, "eigen")
+
+
+def _from_spectrum(lam: np.ndarray, part: Bipartition, method: str) -> NegativityResult:
+    """M = 1 + 2N, with N the magnitude of the sum of the eigenvalues of the
+    partial transpose that lie below -NEGATIVE_EIGENVALUE_CUTOFF."""
     neg = lam[lam < -NEGATIVE_EIGENVALUE_CUTOFF]
     n_value = float(-neg.sum()) if neg.size else 0.0
     return NegativityResult(m_value=1.0 + 2.0 * n_value, n_value=n_value,
-                            partition=part, method="eigen")
+                            partition=part, method=method)
 
 
 def unpolarized_partial_transpose(state: Dqc1State, part: Bipartition) -> np.ndarray:
@@ -63,9 +69,12 @@ def negativity_singular(state: Dqc1State, part: Bipartition) -> NegativityResult
 
     With the transpose on the side away from the special qubit, the spectrum of
     the transposed state is {(1 +- alpha s_j)/2N} over the singular values s_j
-    of the transposed unitary, so M = (1/N) sum_j max(|alpha| s_j, 1).  If the
-    requested part contains qubit 0, the complement is used instead (the two
-    partial transposes share eigenvalues and singular values).
+    of the transposed unitary.  Only the (1 - |alpha| s_j)/2N can be negative;
+    as on the eigen route, only those below -NEGATIVE_EIGENVALUE_CUTOFF count,
+    so N = sum (|alpha| s_j - 1)/2N over them and a PPT state gives M = 1
+    exactly.  If the requested part contains qubit 0, the complement is used
+    instead (the two partial transposes share eigenvalues and singular values).
+    Only U is read: the 2N x 2N ``state.rho`` is never built.
     """
     if part.total_qubits != state.total_qubits:
         raise ValueError(f"bipartition is over {part.total_qubits} qubits, "
@@ -78,10 +87,7 @@ def negativity_singular(state: Dqc1State, part: Bipartition) -> NegativityResult
                       stacklevel=2)
     u_pt = unpolarized_partial_transpose(state, effective)
     s = singular_values(u_pt)
-    big_n = 2**state.n
-    m_value = float(np.maximum(abs(state.alpha) * s, 1.0).sum() / big_n)
-    return NegativityResult(m_value=m_value, n_value=(m_value - 1.0) / 2.0,
-                            partition=part, method="singular")
+    return _from_spectrum((1.0 - abs(state.alpha) * s) / 2**(state.n + 1), part, "singular")
 
 
 def pure_state_negativity(schmidt: np.ndarray) -> float:

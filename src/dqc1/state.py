@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -23,16 +24,31 @@ from .rng import philox_stream
 
 @dataclass(frozen=True)
 class Dqc1State:
-    """Output state of the circuit together with its defining (U, alpha, n)."""
+    """Output state of the circuit, held as its defining (U, alpha, n).
+
+    The 2N x 2N density matrix ``rho`` is assembled from (U, alpha) on first
+    access and cached; routes that work on U alone never allocate it.
+    """
 
     n: int
     alpha: float
     unitary: np.ndarray
-    rho: np.ndarray
 
     @property
     def total_qubits(self) -> int:
         return self.n + 1
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """The block state [[I, alpha U^dag], [alpha U, I]] / 2N."""
+        big_n = 2**self.n
+        rho = np.empty((2 * big_n, 2 * big_n), dtype=np.complex128)
+        rho[:big_n, :big_n] = np.eye(big_n)
+        rho[big_n:, big_n:] = np.eye(big_n)
+        rho[:big_n, big_n:] = self.alpha * self.unitary.conj().T
+        rho[big_n:, :big_n] = self.alpha * self.unitary
+        rho /= 2 * big_n
+        return rho
 
 
 @dataclass(frozen=True)
@@ -54,14 +70,7 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
         raise ValueError(f"register of {n + 1} qubits exceeds the cap of {MAX_QUBITS}")
     if not abs(alpha) <= 1:
         raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
-    big_n = 2**n
-    rho = np.empty((2 * big_n, 2 * big_n), dtype=np.complex128)
-    rho[:big_n, :big_n] = np.eye(big_n)
-    rho[big_n:, big_n:] = np.eye(big_n)
-    rho[:big_n, big_n:] = alpha * u.conj().T
-    rho[big_n:, :big_n] = alpha * u
-    rho /= 2 * big_n
-    return Dqc1State(n=n, alpha=float(alpha), unitary=u, rho=rho)
+    return Dqc1State(n=n, alpha=float(alpha), unitary=u)
 
 
 def pauli_expectations(state: Dqc1State) -> tuple[float, float]:

@@ -8,11 +8,27 @@ from dqc1.ensemble import (RandomCircuitParams, default_samples, half_split_k,
                            mixing_operator, negativity_sweep,
                            pseudo_random_unitary, random_su2, su2_rotation,
                            sweep_csv)
-from dqc1.linalg import unitary_defect
+from dqc1.family import build_family
+from dqc1.linalg import Bipartition, unitary_defect
+from dqc1.negativity import negativity_eigen, negativity_singular
 from dqc1.rng import philox_stream
+from dqc1.state import build_state
 
 # frozen from a reference run: pseudo_random_unitary(n=3, j=40, seed=7)
-GOLDEN_SHA256 = "8448b8f7a69e80c5264cffb6c5b696114c88a77b0ef0a560b738ce93d70826f7"
+GOLDEN_SHA256 = "3ff7e06c179a8030b62072fb87e20036c011aec95370af65944e2c99384ef627"
+
+
+def dense_layer_unitary(params, sample_index=0):
+    """Oracle: the same circuit with every layer formed as a dense N x N Kronecker product."""
+    rng = philox_stream(params.seed, sample_index)
+    mix = np.diag(mixing_operator(params.n))[:, None]
+    u = None
+    for _ in range(params.j):
+        layer = np.eye(1, dtype=np.complex128)
+        for _ in range(params.n):
+            layer = np.kron(layer, random_su2(rng))
+        u = layer if u is None else layer @ (mix * u)
+    return u
 
 
 def test_su2_rotation_parameter_points():
@@ -27,6 +43,13 @@ def test_random_su2_special_unitary():
         r = random_su2(rng)
         assert unitary_defect(r) <= 1e-12
         assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
+def test_random_su2_stack_equals_single_draws():
+    single = philox_stream(4, 2)
+    stack = random_su2(philox_stream(4, 2), 9)
+    assert stack.shape == (9, 2, 2)
+    assert np.array_equal(stack, np.array([random_su2(single) for _ in range(9)]))
 
 
 def test_random_su2_theta_marginal():
@@ -65,6 +88,15 @@ def test_pseudo_random_unitary_reproducible():
     assert not np.array_equal(u1, pseudo_random_unitary(params, sample_index=1))
 
 
+def test_factored_layers_match_dense_product():
+    for n in range(1, 9):
+        for seed, index in ((0, 0), (5, 3), (11, 1)):
+            params = RandomCircuitParams(n=n, j=40, seed=seed)
+            gap = np.max(np.abs(pseudo_random_unitary(params, index)
+                                - dense_layer_unitary(params, index)))
+            assert gap <= 1e-14, (n, seed, index, gap)
+
+
 def test_single_layer_preserves_product_states():
     u = pseudo_random_unitary(RandomCircuitParams(n=2, j=1, seed=5))
     out = (u @ np.array([1, 0, 0, 0], dtype=complex)).reshape(2, 2)
@@ -87,6 +119,35 @@ def test_sweep_two_qubits_never_entangled():
     stats = negativity_sweep([2], split="all", samples=10, seed=0)
     assert len(stats) == 1
     assert stats[0].mean_m == 1.0 and stats[0].std_m == 0.0
+
+
+def test_singular_route_reports_ppt_exactly():
+    # these n + 1 = 2 draws once gave M = 1.0000000000000002 with is_ppt False
+    part = Bipartition.trailing(2, 1)
+    for index in (1, 3, 7, 9):
+        state = build_state(pseudo_random_unitary(RandomCircuitParams(n=1, seed=0), index), 1.0)
+        for res in (negativity_singular(state, part), negativity_eigen(state.rho, part)):
+            assert res.m_value == 1.0 and res.n_value == 0.0 and res.is_ppt
+    # transposing every unpolarized qubit of the family state leaves it PPT
+    for n in (2, 3, 5):
+        state = build_state(build_family(n), 1.0)
+        part = Bipartition.trailing(n + 1, n)
+        assert negativity_singular(state, part).m_value == 1.0
+        assert negativity_eigen(state.rho, part).m_value == 1.0
+
+
+def test_sweep_matches_eigen_recomputation():
+    samples, seed = 4, 17
+    for n_plus_1 in range(3, 8):
+        stats = negativity_sweep([n_plus_1], split="all", samples=samples, seed=seed)
+        unitaries = [pseudo_random_unitary(RandomCircuitParams(n=n_plus_1 - 1, seed=seed), i)
+                     for i in range(samples)]
+        for s in stats:
+            values = [negativity_eigen(build_state(u, 1.0).rho, s.partition).m_value
+                      for u in unitaries]
+            mean = math.fsum(values) / samples
+            std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (samples - 1))
+            assert abs(s.mean_m - mean) <= 1e-12 and abs(s.std_m - std) <= 1e-12
 
 
 def test_sweep_deterministic():

@@ -50,6 +50,13 @@ def test_singular_all_unpolarized_gives_one():
     assert abs(res.m_value - 1.0) <= 1e-12
 
 
+def test_singular_route_leaves_rho_unbuilt():
+    rng = np.random.default_rng(9)
+    state = build_state(haar_unitary(8, rng), 1.0)
+    negativity_singular(state, Bipartition.trailing(4, 2))
+    assert "rho" not in state.__dict__
+
+
 def test_singular_alpha_zero_gives_one():
     rng = np.random.default_rng(2)
     st = build_state(haar_unitary(8, rng), 0.0)
