@@ -20,9 +20,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import ensemble, family, pathsum
-from .linalg import Bipartition, load_unitary
+from .linalg import Bipartition, load_unitary, num_qubits
 from .negativity import negativity_eigen, negativity_singular
-from .state import build_state, estimate_trace
+from .state import build_state, estimate_trace, require_register
 
 
 def _fmt(x: float) -> str:
@@ -86,22 +86,24 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _resolve_unitary(cfg: dict) -> tuple[np.ndarray, int]:
-    """Unitary and total qubit count from --family/--random/--file settings."""
+    """Unitary and total qubit count from --family/--random/--file settings.
+
+    The register cap is checked from --n before a family or random U is built.
+    """
     sources = [s for s in ("family", "random", "file") if cfg.get(s)]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --family, --random, --file")
     source = sources[0]
     if source == "file":
         u = load_unitary(cfg["file"])
-        n = u.shape[0].bit_length() - 1
-        if 2**n != u.shape[0]:
-            raise ValueError(f"unitary dimension {u.shape[0]} is not a power of 2")
+        n = num_qubits(u)
         if cfg.get("n") is not None and cfg["n"] != n + 1:
             raise ValueError(f"--n {cfg['n']} does not match file dimension 2**{n}")
         return u, n + 1
     if cfg.get("n") is None:
         raise ValueError(f"--{source} requires --n")
     n_plus_1 = cfg["n"]
+    require_register(n_plus_1)
     n = n_plus_1 - 1
     if source == "family":
         return family.build_family(n), n_plus_1
@@ -116,12 +118,10 @@ def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
     u, n_plus_1 = _resolve_unitary(cfg)
     state = build_state(u, cfg["alpha"])
     part = Bipartition.trailing(n_plus_1, cfg["k"])
-    if cfg["method"] == "singular":
-        res = negativity_singular(state, part)
-    elif cfg["method"] == "eigen":
-        res = negativity_eigen(state.rho, part)
-    else:
+    routes = {"eigen": negativity_eigen, "singular": negativity_singular}
+    if cfg["method"] not in routes:
         raise ValueError(f"method must be eigen or singular, got {cfg['method']!r}")
+    res = routes[cfg["method"]](state, part)
     rows = ["n_plus_1,k,alpha,m_value,n_value,method",
             f"{n_plus_1},{cfg['k']},{_fmt(cfg['alpha'])},{_fmt(res.m_value)},"
             f"{_fmt(res.n_value)},{res.method}"]
@@ -224,9 +224,9 @@ def cmd_family_verify(args: argparse.Namespace, config: dict[str, str]) -> str:
     defaults = {"n": 4}
     cfg = _resolve(args, config, defaults)
     n = cfg["n"]
-    direct = family.build_family(n)
     circuit = family.circuit_family(n)
-    product = pathsum.circuit_unitary(circuit)
+    product = pathsum.circuit_unitary(circuit)  # refuses n above the dense cap
+    direct = family.build_family(n)
     defect = float(np.max(np.abs(product - direct)))
     lines = [f"n={n}", f"gates={len(circuit.gates)}", f"max_abs_difference={_fmt(defect)}",
              f"verified={'true' if defect <= 1e-12 else 'false'}"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Bipartition, as_complex_matrix, max_abs, require_unitary
+from .linalg import Bipartition, as_complex_matrix, max_abs
 from .pathsum import CNOT, GateCircuit, H, T, Gate
 
 BLOCK_IDENTITY_TOL = 1e-12
@@ -46,7 +46,7 @@ class U2Blocks:
         defects = (max_abs(a.conj().T @ a + d.conj().T @ d - eye),
                    max_abs(b.conj().T @ b + c.conj().T @ c - eye),
                    max_abs(a.conj().T @ c + d.conj().T @ b))
-        if max(defects) > BLOCK_IDENTITY_TOL:
+        if not all(defect <= BLOCK_IDENTITY_TOL for defect in defects):
             raise ValueError(f"blocks do not assemble to a unitary (defects {defects})")
 
     @property
@@ -71,7 +71,9 @@ def build_family(n: int, blocks: U2Blocks | None = None) -> np.ndarray:
 
     With 2x2 blocks this is the canonical family (n >= 2, reducing to the seed
     at n = 2).  Blocks of dimension 2**(k-1) give the k-qubit-seed
-    generalization, whose negativity is a numerical matter only.
+    generalization, whose negativity is a numerical matter only.  U^dag U - I
+    is built from the three block identities that :class:`U2Blocks` checks to
+    BLOCK_IDENTITY_TOL, below UNITARY_TOL, so the result is not checked again.
     """
     if blocks is None:
         blocks = canonical_u2()
@@ -85,9 +87,8 @@ def build_family(n: int, blocks: U2Blocks | None = None) -> np.ndarray:
     x_m = np.eye(1, dtype=np.complex128)
     for _ in range(middle):
         x_m = np.kron(x_m, _X)
-    u = np.block([[np.kron(eye_m, blocks.a), np.kron(x_m, blocks.c)],
-                  [np.kron(x_m, blocks.d), np.kron(eye_m, blocks.b)]])
-    return require_unitary(u)
+    return np.block([[np.kron(eye_m, blocks.a), np.kron(x_m, blocks.c)],
+                     [np.kron(x_m, blocks.d), np.kron(eye_m, blocks.b)]])
 
 
 def _u2_gates(q1: int, qn: int) -> tuple[Gate, ...]:

@@ -4,7 +4,9 @@ Matrices are plain complex ``numpy`` arrays of dimension 2**q for q qubits.
 Qubit 0 is the most significant index throughout: for a register of t qubits,
 the bit of qubit q in basis index i is ``(i >> (t - 1 - q)) & 1``.
 Everything here is pure and never mutates its arguments; the hard size cap is
-14 qubits (a 16384 x 16384 dense matrix).
+14 qubits (a 16384 x 16384 dense matrix).  Callers that build a matrix from a
+qubit count check that count against the cap before they allocate.  Every
+tolerance test is written so that a NaN fails it.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def unitary_defect(u: np.ndarray) -> float:
-    """Max-norm of U^dag U - I."""
+    """Max-norm of U^dag U - I; NaN when U has a non-finite entry."""
     u = as_complex_matrix(u)
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    with np.errstate(invalid="ignore"):
+        return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = as_complex_matrix(u)
     defect = unitary_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary: max|U^dag U - I| = {defect:.3e} > {tol:g}")
     return u
 
@@ -66,13 +69,13 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     rho = as_complex_matrix(rho)
     herm = max_abs(rho - rho.conj().T)
-    if herm > HERMITIAN_TOL:
+    if not herm <= HERMITIAN_TOL:
         raise ValueError(f"density matrix is not Hermitian: max|rho - rho^dag| = {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(TRACE_TOL, 1e-12 * rho.shape[0]):
+    if not abs(tr - 1.0) <= max(TRACE_TOL, 1e-12 * rho.shape[0]):
         raise ValueError(f"density matrix trace is {tr:.15g}, expected 1")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -PSD_TOL:
+    if not lo >= -PSD_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -140,7 +143,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     m = as_complex_matrix(m)
     herm = max_abs(m - m.conj().T)
-    if herm > HERMITIAN_TOL:
+    if not herm <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max|m - m^dag| = {herm:.3e}")
     return np.linalg.eigvalsh(m)[::-1]
 

@@ -34,9 +34,14 @@ class NegativityResult:
         return self.n_value == 0.0
 
 
-def negativity_eigen(rho: np.ndarray, part: Bipartition) -> NegativityResult:
-    """M and N from the eigenvalues of the partial transpose of ``rho``."""
-    rho = require_density(rho)
+def negativity_eigen(state: Dqc1State | np.ndarray, part: Bipartition) -> NegativityResult:
+    """M and N from the eigenvalues of the partial transpose of a 2N x 2N state.
+
+    A :class:`Dqc1State` is a density matrix by construction (``build_state``
+    checked U and alpha), so its cached ``rho`` is used as it is.  A bare
+    matrix is validated by ``require_density`` first.
+    """
+    rho = state.rho if isinstance(state, Dqc1State) else require_density(state)
     lam = hermitian_eigenvalues(partial_transpose(rho, part))
     return _from_spectrum(lam, part, "eigen")
 

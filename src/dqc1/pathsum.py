@@ -168,7 +168,12 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
 
 
 def circuit_unitary(c: GateCircuit) -> np.ndarray:
-    """Dense product of the gate list (first gate applied first)."""
+    """Dense product of the gate list (first gate applied first).
+
+    Refused above DENSE_TRACE_MAX_QUBITS qubits, before anything is allocated.
+    """
+    if c.n > DENSE_TRACE_MAX_QUBITS:
+        raise ValueError(f"dense product capped at {DENSE_TRACE_MAX_QUBITS} qubits, got {c.n}")
     u = np.eye(2**c.n, dtype=np.complex128)
     for g in c.gates:
         u = gate_matrix(g, c.n) @ u
@@ -177,8 +182,6 @@ def circuit_unitary(c: GateCircuit) -> np.ndarray:
 
 def dense_trace(c: GateCircuit) -> complex:
     """Reference trace by dense matrix multiplication."""
-    if c.n > DENSE_TRACE_MAX_QUBITS:
-        raise ValueError(f"dense trace capped at {DENSE_TRACE_MAX_QUBITS} qubits, got {c.n}")
     return complex(np.trace(circuit_unitary(c)))
 
 

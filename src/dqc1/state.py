@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import schur
 
-from .linalg import num_qubits, require_unitary, MAX_QUBITS
+from .linalg import as_complex_matrix, num_qubits, require_unitary, MAX_QUBITS
 from .rng import philox_stream
 
 
@@ -62,12 +62,26 @@ class TraceEstimate:
     seed: int
 
 
+def require_register(total_qubits: int) -> None:
+    """Refuse a register of more than MAX_QUBITS qubits.
+
+    Takes the qubit count alone, so a caller can refuse before it builds U.
+    """
+    if total_qubits > MAX_QUBITS:
+        raise ValueError(f"register of {total_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+
+
 def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
-    """Assemble the (n+1)-qubit output state for unitary ``u`` and polarization ``alpha``."""
-    u = require_unitary(u)
+    """Assemble the (n+1)-qubit output state for unitary ``u`` and polarization ``alpha``.
+
+    The one check of U and alpha: for every unitary U and |alpha| <= 1 the
+    block state is a density matrix, so code that receives a Dqc1State does
+    not validate it again.
+    """
+    u = as_complex_matrix(u)
     n = num_qubits(u)
-    if n + 1 > MAX_QUBITS:
-        raise ValueError(f"register of {n + 1} qubits exceeds the cap of {MAX_QUBITS}")
+    require_register(n + 1)
+    u = require_unitary(u)
     if not abs(alpha) <= 1:
         raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
     return Dqc1State(n=n, alpha=float(alpha), unitary=u)
@@ -101,20 +115,16 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
 
     Deterministic given ``seed``: a single Philox stream keyed (seed, 0)
     supplies 2L uniforms, the first L for the X batch, then L for the Y batch.
+    U and alpha are checked by :func:`build_state`, and the two expectations
+    are those of :func:`pauli_expectations`.
     """
-    u = require_unitary(u)
     if alpha == 0:
         raise ValueError("alpha = 0 carries no trace signal")
-    if not abs(alpha) <= 1:
-        raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < p_error < 1:
         raise ValueError(f"p_error must be in (0, 1), got {p_error}")
-    big_n = u.shape[0]
-    tr_u = complex(np.trace(u))
-    mean_x = alpha * tr_u.real / big_n
-    mean_y = -alpha * tr_u.imag / big_n
+    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
     runs = runs_required(alpha, epsilon, p_error)
     rng = philox_stream(seed, 0)
     draws_x = rng.uniform(size=runs)

@@ -150,6 +150,33 @@ def test_trace_pathsum_exact_golden_bytes(capsys, tmp_path, mode, circuit, expec
     assert out == "\n".join(expected) + "\n"
 
 
+GOLDEN_UNITARY_ROUTES = [
+    (("negativity", "--random", "--n", "7", "--seed", "3", "--k", "3", "--method", "eigen"),
+     ["n_plus_1,k,alpha,m_value,n_value,method",
+      "7,3,1,1.1591788669167506,0.079589433458375297,eigen"]),
+    (("negativity", "--random", "--n", "7", "--seed", "3", "--k", "3", "--method", "singular"),
+     ["n_plus_1,k,alpha,m_value,n_value,method",
+      "7,3,1,1.1591788669167506,0.079589433458375353,singular"]),
+    (("negativity", "--family", "--n", "6", "--alpha", "0.75", "--k", "2"),
+     ["n_plus_1,k,alpha,m_value,n_value,method",
+      "6,2,0.75,1.125,0.0625,eigen"]),
+    (("trace", "--random", "--n", "6", "--seed", "2", "--epsilon", "0.1"),
+     ["n_plus_1=6", "alpha=1", "epsilon=0.10000000000000001", "p_error=0.01", "seed=2",
+      "runs_used=1199", "estimate_re=0.042535446205170975",
+      "estimate_im=-0.024186822351959968", "true_re=0.014490376515045509",
+      "true_im=-0.00077051189334391423", "abs_error=0.036535592638115039"]),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_UNITARY_ROUTES,
+                         ids=["eigen", "singular", "family", "trace"])
+def test_unitary_routes_golden_bytes(capsys, argv, expected):
+    # pinned bytes, the same at one and two BLAS threads
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_trace_pathsum_sampled(capsys, tmp_path):
     path = tmp_path / "circuit.txt"
     save_circuit(path, GateCircuit(2, (H(0), CNOT(0, 1))))
@@ -172,6 +199,51 @@ def test_bad_unitary_file_reports_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "negativity", "--file", str(path), "--k", "1")
     assert code == 2
     assert err.startswith("error:") and "line 3" in err
+
+
+@pytest.mark.parametrize("entry", ["nan,0", "inf,0"])
+@pytest.mark.parametrize("command", [("negativity", "--k", "1", "--method", "eigen"),
+                                     ("negativity", "--k", "1", "--method", "singular"),
+                                     ("trace",)], ids=["eigen", "singular", "trace"])
+def test_non_finite_unitary_file_rejected(capsys, tmp_path, entry, command):
+    path = tmp_path / "u.mat"
+    path.write_text(f"2\n{entry} 0,0\n0,0 1,0\n")
+    code, out, err = run_cli(capsys, *command, "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not unitary" in err and err.count("\n") == 1
+
+
+def _refuse_call(monkeypatch, module, name, calls):
+    def refused(*args, **kwargs):
+        calls.append(name)
+        raise AssertionError(f"{name} ran")
+    monkeypatch.setattr(module, name, refused)
+
+
+@pytest.mark.parametrize("argv", [("negativity", "--random", "--n", "15"),
+                                  ("negativity", "--family", "--n", "15"),
+                                  ("trace", "--random", "--n", "15"),
+                                  ("trace", "--family", "--n", "15")])
+def test_oversized_register_refused_before_building(capsys, monkeypatch, argv):
+    import dqc1.ensemble
+    import dqc1.family
+    calls = []
+    _refuse_call(monkeypatch, dqc1.ensemble, "pseudo_random_unitary", calls)
+    _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and calls == []
+    assert err == "error: register of 15 qubits exceeds the cap of 14\n"
+
+
+def test_family_verify_refused_above_dense_cap(capsys, monkeypatch):
+    import dqc1.family
+    import dqc1.pathsum
+    calls = []
+    _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    _refuse_call(monkeypatch, dqc1.pathsum, "gate_matrix", calls)
+    code, _, err = run_cli(capsys, "family-verify", "--n", "11")
+    assert code == 2 and calls == []
+    assert err == "error: dense product capped at 10 qubits, got 11\n"
 
 
 def test_conflicting_sources_rejected(capsys):

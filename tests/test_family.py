@@ -133,3 +133,9 @@ def test_blocks_validation():
     bad = np.eye(2) * 0.5
     with pytest.raises(ValueError, match="unitary"):
         U2Blocks(a=bad, b=bad, c=bad, d=bad)
+    # a NaN in b leaves the first defect at 0 and makes the later two NaN
+    seed = canonical_u2()
+    nan_b = seed.b.copy()
+    nan_b[0, 0] = np.nan
+    with pytest.raises(ValueError, match="unitary"):
+        U2Blocks(a=seed.a, b=nan_b, c=seed.c, d=seed.d)

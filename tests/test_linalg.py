@@ -92,6 +92,8 @@ def test_hermitian_eigenvalues_pauli_x():
 def test_hermitian_eigenvalues_rejects_nonhermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigenvalues(np.diag([np.nan, 1.0]).astype(complex))
 
 
 def test_singular_values_of_unitary_are_ones():
@@ -146,6 +148,10 @@ def test_require_density_rejections():
         require_density(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="negative"):
         require_density(np.diag([1.5, -0.5]).astype(complex))
+    # a NaN or inf entry fails a check rather than slipping past every comparison
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Hermitian"), np.errstate(invalid="ignore"):
+            require_density(np.diag([bad, 0.5]).astype(complex))
 
 
 def test_unitary_file_round_trip(tmp_path):

@@ -43,6 +43,35 @@ def test_negativity_eigen_rejects_invalid():
         negativity_eigen(np.eye(4, dtype=complex), Bipartition(2, {1}))
 
 
+def test_eigen_route_on_state_equals_route_on_rho():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        st = build_state(haar_unitary(2**n, rng), float(rng.uniform(-1, 1)))
+        parts = [Bipartition.trailing(n + 1, k) for k in range(1, n + 1)]
+        if n == 3:
+            parts += [Bipartition(4, {1, 3}), Bipartition(4, {0, 2})]
+        for part in parts:
+            assert negativity_eigen(st, part) == negativity_eigen(st.rho, part)
+
+
+def test_eigen_route_validates_bare_matrices_only(monkeypatch):
+    import dqc1.negativity
+    calls = []
+    check = dqc1.negativity.require_density
+
+    def counted(rho):
+        calls.append(rho.shape)
+        return check(rho)
+
+    monkeypatch.setattr(dqc1.negativity, "require_density", counted)
+    st = build_state(haar_unitary(8, np.random.default_rng(12)), 0.6)
+    part = Bipartition.trailing(4, 2)
+    negativity_eigen(st, part)
+    assert calls == []
+    negativity_eigen(st.rho, part)
+    assert calls == [(16, 16)]
+
+
 def test_singular_all_unpolarized_gives_one():
     rng = np.random.default_rng(1)
     st = build_state(haar_unitary(8, rng), 1.0)

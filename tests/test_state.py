@@ -47,6 +47,11 @@ def test_build_state_rejections():
         build_state(np.ones((2, 2), dtype=complex), 1.0)
     with pytest.raises(ValueError, match="alpha"):
         build_state(np.eye(2, dtype=complex), 1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        build_state(np.eye(2, dtype=complex), float("nan"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unitary"):
+            build_state(np.diag([bad, 1.0]).astype(complex), 1.0)
 
 
 def test_pauli_expectations_t_gate():
@@ -120,6 +125,10 @@ def test_estimate_trace_rejections():
         estimate_trace(u, 1.0, 1.5, 0.1, seed=0)
     with pytest.raises(ValueError, match="p_error"):
         estimate_trace(u, 1.0, 0.1, 0.0, seed=0)
+    with pytest.raises(ValueError, match="unitary"):
+        estimate_trace(np.ones((2, 2), dtype=complex), 1.0, 0.1, 0.1, seed=0)
+    with pytest.raises(ValueError, match="alpha"):
+        estimate_trace(u, 1.5, 0.1, 0.1, seed=0)
 
 
 def test_estimator_unbiased():
