@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Bipartition, hermitian_eigenvalues, partial_transpose,
-                     require_density, singular_values)
+from .linalg import Bipartition, partial_transpose, require_density, singular_values
 from .state import Dqc1State
 
 # eigenvalues this close below zero are rounding noise, not entanglement
@@ -39,10 +38,12 @@ def negativity_eigen(state: Dqc1State | np.ndarray, part: Bipartition) -> Negati
 
     A :class:`Dqc1State` is a density matrix by construction (``build_state``
     checked U and alpha), so its cached ``rho`` is used as it is.  A bare
-    matrix is validated by ``require_density`` first.
+    matrix is validated by ``require_density`` first.  The partial transpose
+    only permutes entries, so it is as Hermitian as rho and its spectrum is
+    taken without a further check.
     """
     rho = state.rho if isinstance(state, Dqc1State) else require_density(state)
-    lam = hermitian_eigenvalues(partial_transpose(rho, part))
+    lam = np.linalg.eigvalsh(partial_transpose(rho, part))[::-1]
     return _from_spectrum(lam, part, "eigen")
 
 

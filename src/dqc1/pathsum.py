@@ -147,28 +147,53 @@ _H_MAT = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _T_MAT = np.diag([1.0, np.exp(1j * math.pi / 4)]).astype(np.complex128)
 
 
+def _flipped_rows(g: Gate, n: int) -> np.ndarray:
+    """Basis index each index maps to under CNOT or TOFFOLI: the target bit
+    flips where every control is 1.  The map is its own inverse."""
+    cols = np.arange(2**n)
+    *controls, t = g.qubits
+    on = np.ones(2**n, dtype=cols.dtype)
+    for c in controls:
+        on &= (cols >> (n - 1 - c)) & 1
+    return cols ^ (on << (n - 1 - t))
+
+
 def gate_matrix(g: Gate, n: int) -> np.ndarray:
-    """Full 2**n matrix of a single gate (qubit 0 most significant)."""
-    dim = 2**n
+    """Full 2**n matrix of a single gate (qubit 0 most significant).
+
+    The dense reference that the per-gate kernel of :func:`circuit_unitary`
+    is tested against.
+    """
     if g.name in ("H", "T"):
         base = _H_MAT if g.name == "H" else _T_MAT
         out = np.eye(1, dtype=np.complex128)
         for q in range(n):
             out = np.kron(out, base if q == g.qubits[0] else np.eye(2))
         return out
-    cols = np.arange(dim)
-    *controls, t = g.qubits       # CNOT or TOFFOLI: flip t where every control is 1
-    on = np.ones(dim, dtype=cols.dtype)
-    for c in controls:
-        on &= (cols >> (n - 1 - c)) & 1
-    rows = cols ^ (on << (n - 1 - t))
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[rows, cols] = 1.0
+    m = np.zeros((2**n, 2**n), dtype=np.complex128)
+    m[_flipped_rows(g, n), np.arange(2**n)] = 1.0
     return m
 
 
+def _apply_gate(u: np.ndarray, g: Gate, n: int) -> np.ndarray:
+    """gate_matrix(g, n) @ u in O(2**n) work per column of u.
+
+    H mixes the row pairs that differ in bit q, T scales the rows whose bit q
+    is 1, and CNOT/TOFFOLI permute rows.  ``u`` is left unchanged.
+    """
+    q = g.qubits[0]
+    if g.name == "H":
+        return (_H_MAT @ u.reshape(2**q, 2, -1)).reshape(u.shape)
+    if g.name == "T":
+        out = u.copy()
+        out.reshape(2**q, 2, -1)[:, 1] *= _T_MAT[1, 1]
+        return out
+    return u[_flipped_rows(g, n)]
+
+
 def circuit_unitary(c: GateCircuit) -> np.ndarray:
-    """Dense product of the gate list (first gate applied first).
+    """Product of the gate list (first gate applied first), gate by gate in
+    O(G * 4**n) work rather than by dense gate matrices.
 
     Refused above DENSE_TRACE_MAX_QUBITS qubits, before anything is allocated.
     """
@@ -176,7 +201,7 @@ def circuit_unitary(c: GateCircuit) -> np.ndarray:
         raise ValueError(f"dense product capped at {DENSE_TRACE_MAX_QUBITS} qubits, got {c.n}")
     u = np.eye(2**c.n, dtype=np.complex128)
     for g in c.gates:
-        u = gate_matrix(g, c.n) @ u
+        u = _apply_gate(u, g, c.n)
     return u
 
 

@@ -21,6 +21,10 @@ from scipy.linalg import schur
 from .linalg import as_complex_matrix, num_qubits, require_unitary, MAX_QUBITS
 from .rng import philox_stream
 
+# estimator runs per observable: about a minute of Philox draws
+MAX_TRACE_RUNS = 2**31
+_DRAW_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class Dqc1State:
@@ -71,6 +75,12 @@ def require_register(total_qubits: int) -> None:
         raise ValueError(f"register of {total_qubits} qubits exceeds the cap of {MAX_QUBITS}")
 
 
+def _require_polarization(alpha: float) -> None:
+    """Refuse |alpha| > 1 (or NaN); a scalar check a caller can make before U."""
+    if not abs(alpha) <= 1:
+        raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
+
+
 def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
     """Assemble the (n+1)-qubit output state for unitary ``u`` and polarization ``alpha``.
 
@@ -82,8 +92,7 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
     n = num_qubits(u)
     require_register(n + 1)
     u = require_unitary(u)
-    if not abs(alpha) <= 1:
-        raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
+    _require_polarization(alpha)
     return Dqc1State(n=n, alpha=float(alpha), unitary=u)
 
 
@@ -105,6 +114,18 @@ def runs_required(alpha: float, epsilon: float, p_error: float) -> int:
     return math.ceil(2.0 * math.log(4.0 / p_error) / (alpha * alpha * epsilon * epsilon))
 
 
+def _count_below(rng: np.random.Generator, runs: int, p: float) -> int:
+    """How many of the next ``runs`` uniforms of ``rng`` fall below ``p``.
+
+    Drawn _DRAW_CHUNK at a time; the stream is consumed exactly as by one
+    draw of ``runs`` values.
+    """
+    count = 0
+    for start in range(0, runs, _DRAW_CHUNK):
+        count += int(np.count_nonzero(rng.uniform(size=min(_DRAW_CHUNK, runs - start)) < p))
+    return count
+
+
 def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
                    seed: int) -> TraceEstimate:
     """Simulate the repeated-measurement estimate of tr(U)/2**n.
@@ -112,11 +133,17 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
     Runs L = ceil(2 ln(4/p_error) / (alpha*epsilon)**2) independent circuits
     for X and another L for Y.  Each run draws an outcome of +-1 with
     p(+1) = (1 + <X>)/2 (resp. <Y>); the estimate is (mean_X - i mean_Y)/alpha.
+    Only the count c of +1 outcomes is kept: mean = (2c - L)/L, whose
+    numerator is the exact sum of the +-1 outcomes, so the estimate is the
+    same float as the mean of the materialized outcomes.
 
     Deterministic given ``seed``: a single Philox stream keyed (seed, 0)
     supplies 2L uniforms, the first L for the X batch, then L for the Y batch.
-    U and alpha are checked by :func:`build_state`, and the two expectations
-    are those of :func:`pauli_expectations`.
+    They are streamed in chunks of _DRAW_CHUNK, so memory is O(chunk) whatever
+    L is.  L above MAX_TRACE_RUNS per observable is refused before any state is
+    built or any number drawn, so alpha is checked first; U is checked by
+    :func:`build_state`, and the two expectations are those of
+    :func:`pauli_expectations`.
     """
     if alpha == 0:
         raise ValueError("alpha = 0 carries no trace signal")
@@ -124,14 +151,16 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < p_error < 1:
         raise ValueError(f"p_error must be in (0, 1), got {p_error}")
-    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
+    _require_polarization(alpha)
     runs = runs_required(alpha, epsilon, p_error)
+    if runs > MAX_TRACE_RUNS:
+        raise ValueError(f"estimator needs {runs} runs per observable; "
+                         f"the cap is {MAX_TRACE_RUNS}")
+    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
     rng = philox_stream(seed, 0)
-    draws_x = rng.uniform(size=runs)
-    draws_y = rng.uniform(size=runs)
-    outcomes_x = np.where(draws_x < (1 + mean_x) / 2, 1.0, -1.0)
-    outcomes_y = np.where(draws_y < (1 + mean_y) / 2, 1.0, -1.0)
-    est = complex(outcomes_x.mean(), -outcomes_y.mean()) / alpha
+    count_x = _count_below(rng, runs, (1 + mean_x) / 2)
+    count_y = _count_below(rng, runs, (1 + mean_y) / 2)
+    est = complex((2 * count_x - runs) / runs, -((2 * count_y - runs) / runs)) / alpha
     return TraceEstimate(estimate=est, runs_used=runs, epsilon=epsilon,
                          p_error=p_error, seed=seed)
 

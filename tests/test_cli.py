@@ -240,10 +240,21 @@ def test_family_verify_refused_above_dense_cap(capsys, monkeypatch):
     import dqc1.pathsum
     calls = []
     _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
-    _refuse_call(monkeypatch, dqc1.pathsum, "gate_matrix", calls)
+    _refuse_call(monkeypatch, dqc1.pathsum, "_apply_gate", calls)
     code, _, err = run_cli(capsys, "family-verify", "--n", "11")
     assert code == 2 and calls == []
     assert err == "error: dense product capped at 10 qubits, got 11\n"
+
+
+def test_trace_over_run_cap_refused_before_drawing(capsys, monkeypatch):
+    import dqc1.state
+    calls = []
+    _refuse_call(monkeypatch, dqc1.state, "philox_stream", calls)
+    code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", "--alpha", "0.25",
+                             "--epsilon", "0.0001", "--p-error", "1e-6")
+    assert code == 2 and out == "" and calls == []
+    assert err == ("error: estimator needs 48645775742 runs per observable; "
+                   "the cap is 2147483648\n")
 
 
 def test_conflicting_sources_rejected(capsys):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from dqc1 import pathsum
 from dqc1.family import circuit_family
 from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, PathBudgetError,
-                          PathPolynomials, T, TOFFOLI, compile_circuit,
-                          dense_trace, exact_trace_enumeration, format_circuit,
-                          gate_matrix, hadamard_bracket, load_circuit,
-                          parse_circuit, path_class_counts, prepare_circuit,
-                          sampled_trace, trace_by_counting)
+                          PathPolynomials, T, TOFFOLI, circuit_unitary,
+                          compile_circuit, dense_trace, exact_trace_enumeration,
+                          format_circuit, gate_matrix, hadamard_bracket,
+                          load_circuit, parse_circuit, path_class_counts,
+                          prepare_circuit, sampled_trace, trace_by_counting)
 
 
 def random_circuit(n, n_gates, mode, rng):
@@ -76,6 +77,40 @@ def test_gate_matrix_cnot_permutation():
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[1, 1] = expected[3, 2] = expected[2, 3] = 1
     assert np.array_equal(m.real, expected)
+
+
+def gate_matrix_product(c):
+    """The circuit unitary as a product of dense gate matrices: the oracle."""
+    u = np.eye(2**c.n, dtype=complex)
+    for g in c.gates:
+        u = gate_matrix(g, c.n) @ u
+    return u
+
+
+def test_circuit_unitary_matches_gate_matrix_product():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        c = random_circuit(n, int(rng.integers(1, 25)), "mixed", rng)
+        assert np.max(np.abs(circuit_unitary(c) - gate_matrix_product(c))) <= 1e-15
+    for n in range(2, 9):
+        c = circuit_family(n)
+        assert np.max(np.abs(circuit_unitary(c) - gate_matrix_product(c))) <= 1e-15
+
+
+def test_gate_kernel_returns_new_array_for_any_layout():
+    # a transposed or column-strided u reshapes to a copy, not a view; every gate
+    # must still act on it and leave it as it was
+    rng = np.random.default_rng(32)
+    n = 3
+    base = rng.normal(size=(2**n, 2 * 2**n)) + 1j * rng.normal(size=(2**n, 2 * 2**n))
+    for u in (base[:, ::2], base[:, :2**n].T):
+        assert not u.flags.c_contiguous
+        before = u.copy()
+        for g in (H(1), T(0), T(2), CNOT(2, 0), TOFFOLI(0, 2, 1)):
+            got = pathsum._apply_gate(u, g, n)
+            assert np.max(np.abs(got - gate_matrix(g, n) @ u)) <= 1e-15
+            assert np.array_equal(u, before)
 
 
 def test_dense_fixed_traces():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
+import dqc1.state
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
+from dqc1.rng import philox_stream
 from dqc1.state import (build_state, estimate_trace, pauli_expectations,
                         reconstruct_mixture, runs_required, separable_ball_alpha,
                         separable_decomposition)
@@ -127,8 +129,78 @@ def test_estimate_trace_rejections():
         estimate_trace(u, 1.0, 0.1, 0.0, seed=0)
     with pytest.raises(ValueError, match="unitary"):
         estimate_trace(np.ones((2, 2), dtype=complex), 1.0, 0.1, 0.1, seed=0)
-    with pytest.raises(ValueError, match="alpha"):
-        estimate_trace(u, 1.5, 0.1, 0.1, seed=0)
+    for alpha in (1.5, math.nan):
+        with pytest.raises(ValueError, match="polarization"):
+            estimate_trace(u, alpha, 0.1, 0.1, seed=0)
+    with pytest.raises(ValueError, match="polarization"):  # before the run cap
+        estimate_trace(u, 1.5, 1e-6, 0.1, seed=0)
+
+
+def materialized_estimate(u, alpha, epsilon, p_error, seed):
+    """The estimator as one array of L outcomes per observable: the oracle."""
+    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
+    runs = runs_required(alpha, epsilon, p_error)
+    rng = philox_stream(seed, 0)
+    draws_x = rng.uniform(size=runs)
+    draws_y = rng.uniform(size=runs)
+    outcomes_x = np.where(draws_x < (1 + mean_x) / 2, 1.0, -1.0)
+    outcomes_y = np.where(draws_y < (1 + mean_y) / 2, 1.0, -1.0)
+    return complex(outcomes_x.mean(), -outcomes_y.mean()) / alpha
+
+
+def test_streamed_estimate_equals_materialized(monkeypatch):
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        u = haar_unitary(2 ** int(rng.integers(1, 4)), rng)
+        alpha = float(rng.choice([-1, 1]) * rng.uniform(0.3, 1.0))
+        epsilon, p_error = float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.01, 0.5))
+        seed = int(rng.integers(0, 2**63))
+        runs = runs_required(alpha, epsilon, p_error)
+        expected = repr(materialized_estimate(u, alpha, epsilon, p_error, seed))
+        # one chunk, an exact multiple, one draw past a multiple, and a partial chunk
+        for chunk in (runs + 1, runs, max(1, runs // 3), runs - 1, 7, 1):
+            monkeypatch.setattr(dqc1.state, "_DRAW_CHUNK", chunk)
+            est = estimate_trace(u, alpha, epsilon, p_error, seed)
+            assert est.runs_used == runs
+            assert repr(est.estimate) == expected, (runs, chunk)
+
+
+def _refuse_draws_and_state(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("built a state or drew before the run cap was checked")
+    monkeypatch.setattr(dqc1.state, "philox_stream", refused)
+    monkeypatch.setattr(dqc1.state, "build_state", refused)
+
+
+def test_estimate_trace_run_cap_boundary(monkeypatch):
+    u = np.eye(2, dtype=complex)
+    runs = runs_required(0.5, 0.2, 0.1)
+    monkeypatch.setattr(dqc1.state, "MAX_TRACE_RUNS", runs)
+    assert estimate_trace(u, 0.5, 0.2, 0.1, seed=0).runs_used == runs
+    monkeypatch.setattr(dqc1.state, "MAX_TRACE_RUNS", runs - 1)
+    _refuse_draws_and_state(monkeypatch)
+    with pytest.raises(ValueError, match=f"needs {runs} runs per observable; "
+                                         f"the cap is {runs - 1}"):
+        estimate_trace(u, 0.5, 0.2, 0.1, seed=0)
+
+
+def test_estimate_trace_refuses_over_run_cap(monkeypatch):
+    _refuse_draws_and_state(monkeypatch)
+    runs = runs_required(0.25, 1e-4, 1e-6)
+    assert runs > dqc1.state.MAX_TRACE_RUNS == 2**31
+    with pytest.raises(ValueError, match=f"needs {runs} runs per observable"):
+        estimate_trace(np.eye(2, dtype=complex), 0.25, 1e-4, 1e-6, seed=0)
+
+
+def test_partially_transposed_state_is_exactly_hermitian():
+    rng = np.random.default_rng(22)
+    for n in range(1, 7):
+        u = haar_unitary(2**n, rng)
+        for alpha in (1.0, -0.6, 0.3, float(rng.uniform(-1, 1))):
+            rho = build_state(u, alpha).rho
+            for k in range(1, n + 1):
+                pt = partial_transpose(rho, Bipartition.trailing(n + 1, k))
+                assert np.array_equal(pt, pt.conj().T)
 
 
 def test_estimator_unbiased():
