@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import Bipartition
 from .negativity import negativity_singular
 from .rng import philox_stream
-from .state import build_state
+from .state import build_state, require_register
 
 DEFAULT_REPETITIONS = 40
 
@@ -63,15 +63,17 @@ def su2_rotation(theta, phi, chi) -> np.ndarray:
 _ANGLE_SPANS = (math.pi / 2, 2 * math.pi, 2 * math.pi)
 
 
-def random_su2(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+def random_su2(rng: np.random.Generator,
+               shape: int | tuple[int, ...] | None = None) -> np.ndarray:
     """Random rotations: theta uniform on [0, pi/2], phi and chi on [0, 2 pi).
 
-    One rotation, or ``count`` of them stacked as (count, 2, 2).  Draw order is
-    theta, phi, chi (three uniforms per rotation), rotation by rotation, so a
-    stack consumes the stream exactly as ``count`` single calls do.
+    One rotation, or a stack of shape (*shape, 2, 2) from one draw of shape
+    (*shape, 3).  Draw order is theta, phi, chi (three uniforms per rotation),
+    rotation by rotation in C order of ``shape``, so a stack consumes the
+    stream exactly as the same number of single calls do.
     """
-    size = (3,) if count is None else (count, 3)
-    angles = rng.uniform(0.0, _ANGLE_SPANS, size=size)
+    lead = () if shape is None else tuple(np.atleast_1d(shape))
+    angles = rng.uniform(0.0, _ANGLE_SPANS, size=(*lead, 3))
     return su2_rotation(angles[..., 0], angles[..., 1], angles[..., 2])
 
 
@@ -104,41 +106,40 @@ def pseudo_random_unitary(params: RandomCircuitParams, sample_index: int = 0) ->
     N x N matrix: L acts on the first hi = ceil(n/2) qubits with one matmul on
     U reshaped to (2^hi, 2^lo N), and R' on the other lo = floor(n/2) with one
     batched matmul, so a layer costs O(N^2 (2^hi + 2^lo)) instead of O(N^3).
+    The factors of all j layers are built before the layer loop, as two stacks
+    of shape (j, 2^hi, 2^hi) and (j, 2^lo, 2^lo) from one (j, n) rotation draw.
 
     Bit-reproducible at a fixed BLAS thread count: the stream is Philox keyed
-    (seed, sample_index), and layer k draws (theta, phi, chi) for qubits 1..n
-    in order.
+    (seed, sample_index), and the one draw takes (theta, phi, chi) for qubits
+    1..n of layer 1, then of layer 2, and so on, the order of j draws of n.
     """
     rng = philox_stream(params.seed, sample_index)
-    n = params.n
+    n, j = params.n, params.j
     big_n = 2**n
+    rotations = random_su2(rng, (j, n))
+    hi = (n + 1) // 2
+    lefts, rights = _kron_stack(rotations[:, :hi]), _kron_stack(rotations[:, hi:])
+    u = np.kron(lefts[0], rights[0])
     mix_diag = _mixing_phases(n)[:, None] if n > 1 else None
-    u, mixed = None, np.empty((big_n, big_n), dtype=np.complex128)
-    for _ in range(params.j):
-        left, right = _layer_factors(rng, n)
-        if u is None:
-            u = np.kron(left, right)
-            continue
+    mixed = np.empty((big_n, big_n), dtype=np.complex128)
+    blocks = lefts.shape[1]
+    for left, right in zip(lefts[1:], rights[1:]):
         if mix_diag is not None:
             np.multiply(mix_diag, u, out=u)
         # u <- (L (x) R') u: L mixes the 2^hi row blocks, R' the rows inside each block
-        blocks = len(left)
         np.matmul(left, u.reshape(blocks, -1), out=mixed.reshape(blocks, -1))
         np.matmul(right, mixed.reshape(blocks, -1, big_n), out=u.reshape(blocks, -1, big_n))
     return u
 
 
-def _layer_factors(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's rotations as (L, R'): Kronecker products over qubits 1..ceil(n/2)
-    and over the rest, drawn qubit by qubit in register order."""
-    rotations = random_su2(rng, n)
-    factors = []
-    for group in (rotations[:(n + 1) // 2], rotations[(n + 1) // 2:]):
-        f = np.ones((1, 1), dtype=np.complex128)
-        for r in group:  # np.kron(f, r), without its per-call overhead
-            f = (f[:, None, :, None] * r[None, :, None, :]).reshape(2 * len(f), 2 * len(f))
-        factors.append(f)
-    return factors[0], factors[1]
+def _kron_stack(rotations: np.ndarray) -> np.ndarray:
+    """Kronecker products over axis 1 of a (j, q, 2, 2) stack, in qubit order: (j, 2^q, 2^q)."""
+    j = len(rotations)
+    f = np.ones((j, 1, 1), dtype=np.complex128)
+    for q in range(rotations.shape[1]):  # np.kron(f[k], r[k]) for every k at once
+        r, m = rotations[:, q], f.shape[1]
+        f = (f[:, :, None, :, None] * r[:, None, :, None, :]).reshape(j, 2 * m, 2 * m)
+    return f
 
 
 def half_split_k(n_plus_1: int) -> int:
@@ -177,17 +178,21 @@ def negativity_sweep(n_plus_1_values: Iterable[int],
     size.  The 2N x 2N state is never built, and needs no density-matrix
     validation: it is one by construction from the validated U.  ``split`` is
     "half", "all", a k, or a list of k.  Means use compensated summation so the
-    reduction order is immaterial.
+    reduction order is immaterial.  Every size, split and the sample count are
+    checked (sizes against the register cap) before the first unitary is drawn.
     """
-    results = []
+    plan = []
     for n_plus_1 in n_plus_1_values:
         if n_plus_1 < 2:
             raise ValueError(f"need at least 2 qubits, got {n_plus_1}")
+        require_register(n_plus_1)
+        plan.append((n_plus_1, _resolve_ks(n_plus_1, split)))
+    if samples is not None and samples < 2:
+        raise ValueError("need at least 2 samples")
+    results = []
+    for n_plus_1, ks in plan:
         n = n_plus_1 - 1
-        ks = _resolve_ks(n_plus_1, split)
         count = default_samples(n_plus_1) if samples is None else samples
-        if count < 2:
-            raise ValueError("need at least 2 samples")
         values = {k: [] for k in ks}
         for i in range(count):
             u = pseudo_random_unitary(RandomCircuitParams(n=n, seed=seed), sample_index=i)

@@ -223,7 +223,9 @@ def _refuse_call(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("argv", [("negativity", "--random", "--n", "15"),
                                   ("negativity", "--family", "--n", "15"),
                                   ("trace", "--random", "--n", "15"),
-                                  ("trace", "--family", "--n", "15")])
+                                  ("trace", "--family", "--n", "15"),
+                                  ("sweep", "--nplus1", "15", "--samples", "2"),
+                                  ("sweep", "--range", "14..15")])
 def test_oversized_register_refused_before_building(capsys, monkeypatch, argv):
     import dqc1.ensemble
     import dqc1.family
@@ -289,3 +291,28 @@ def test_config_casts_numbers_and_booleans(capsys, tmp_path):
     bad.write_text("samples=plenty\n")
     code, _, err = run_cli(capsys, "--config", str(bad), "sweep", "--nplus1", "4")
     assert code == 2 and err.startswith("error:")
+
+
+def test_repeated_commands_in_one_process(capsys, tmp_path):
+    circuit = tmp_path / "c.circ"
+    save_circuit(circuit, GateCircuit(2, (H(0), T(0), CNOT(0, 1), H(1))))
+    argvs = [("sweep", "--nplus1", "4", "--samples", "3", "--seed", "2"),
+             ("bounds", "--kind", "s123", "--two-n", "8"),
+             ("trace", "--pathsum", str(circuit), "--mode", "t_gate", "--exact"),
+             ("negativity", "--random", "--n", "4", "--k", "2", "--seed", "3"),
+             ("sweep", "--split", "half", "--bogus")]
+
+    def one_pass():
+        results = []
+        for argv in argvs:
+            try:
+                results.append(run_cli(capsys, *argv))
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                results.append((exc.code, captured.out, captured.err))
+        return results
+
+    first = one_pass()
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 2]
+    assert first[-1][2].startswith("usage: dqc1")
+    assert one_pass() == first
