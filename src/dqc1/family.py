@@ -23,9 +23,6 @@ from .pathsum import CNOT, GateCircuit, H, T, Gate
 
 BLOCK_IDENTITY_TOL = 1e-12
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class U2Blocks:
     """The four equal-size blocks of a seed unitary [[a, c], [d, b]]."""
@@ -84,9 +81,7 @@ def build_family(n: int, blocks: U2Blocks | None = None) -> np.ndarray:
         raise ValueError(f"family needs n >= {seed_qubits} for these blocks, got {n}")
     middle = n - seed_qubits
     eye_m = np.eye(2**middle, dtype=np.complex128)
-    x_m = np.eye(1, dtype=np.complex128)
-    for _ in range(middle):
-        x_m = np.kron(x_m, _X)
+    x_m = eye_m[::-1]  # X^(x)m flips every bit: index i -> 2**m - 1 - i
     return np.block([[np.kron(eye_m, blocks.a), np.kron(x_m, blocks.c)],
                      [np.kron(x_m, blocks.d), np.kron(eye_m, blocks.b)]])
 

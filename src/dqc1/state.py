@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
 
 from .linalg import as_complex_matrix, num_qubits, require_unitary, MAX_QUBITS
 from .rng import philox_stream
@@ -109,9 +108,12 @@ def pauli_expectations(state: Dqc1State) -> tuple[float, float]:
     return state.alpha * tr_u.real / big_n, -state.alpha * tr_u.imag / big_n
 
 
-def runs_required(alpha: float, epsilon: float, p_error: float) -> int:
-    """Runs per observable: ceil(2 ln(4/p_error) / (alpha**2 epsilon**2))."""
-    return math.ceil(2.0 * math.log(4.0 / p_error) / (alpha * alpha * epsilon * epsilon))
+def runs_required(alpha: float, epsilon: float, p_error: float) -> int | float:
+    """Runs per observable: ceil(2 ln(4/p_error) / (alpha**2 epsilon**2)),
+    or math.inf past float range, as when (alpha epsilon)**2 underflows to 0."""
+    scale = alpha * alpha * epsilon * epsilon
+    runs = 2.0 * math.log(4.0 / p_error) / scale if scale else math.inf
+    return math.ceil(runs) if math.isfinite(runs) else runs
 
 
 def _count_below(rng: np.random.Generator, runs: int, p: float) -> int:
@@ -165,6 +167,24 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
                          p_error=p_error, seed=seed)
 
 
+def _unit_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvalues and an orthonormal eigenbasis (columns) of the unitary ``u``.
+
+    eigh of the Hermitian Cayley transform K = i(z+U)(z-U)^-1 keeps U's
+    eigenspaces, degenerate ones included, with an orthonormal basis, which
+    np.linalg.eig does not guarantee.  z, halfway along the widest gap between
+    U's eigenphases, lies ~pi/N or more from the spectrum.
+    """
+    angles = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = int(np.argmax(gaps))
+    z_eye = np.exp(1j * (angles[widest] + gaps[widest] / 2)) * np.eye(len(u))
+    k = 1j * np.linalg.solve(z_eye - u, z_eye + u)
+    _, q = np.linalg.eigh((k + k.conj().T) / 2)
+    phases = np.einsum("ij,ij->j", q.conj(), u @ q)
+    return phases / np.abs(phases), q
+
+
 def separable_decomposition(state: Dqc1State) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Write the state as a mixture of product states across the (special, rest) cut.
 
@@ -177,14 +197,10 @@ def separable_decomposition(state: Dqc1State) -> list[tuple[float, np.ndarray, n
     """
     big_n = 2**state.n
     theta = math.asin(state.alpha) / 2
-    # Schur of a normal matrix gives an orthonormal eigenbasis even when the
-    # spectrum is degenerate, which np.linalg.eig does not guarantee
-    t, q = schur(state.unitary, output="complex")
-    phases = np.diag(t)
+    phases, q = _unit_eigenbasis(state.unitary)
     terms = []
     for j in range(big_n):
-        e = q[:, j]
-        phase = phases[j] / abs(phases[j])
+        e, phase = q[:, j], phases[j]
         a = np.array([math.cos(theta), phase * math.sin(theta)], dtype=np.complex128)
         b = np.array([math.sin(theta), phase * math.cos(theta)], dtype=np.complex128)
         terms.append((1.0 / (2 * big_n), a, e))

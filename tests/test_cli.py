@@ -259,6 +259,19 @@ def test_trace_over_run_cap_refused_before_drawing(capsys, monkeypatch):
                    "the cap is 2147483648\n")
 
 
+@pytest.mark.parametrize("flags", [("--epsilon", "1e-200"), ("--epsilon", "1e-160"),
+                                   ("--alpha", "1e-170", "--epsilon", "0.5")])
+def test_trace_underflowing_accuracy_refused_at_run_cap(capsys, monkeypatch, flags):
+    # (alpha epsilon)**2 underflows to 0 or the run count overflows to inf
+    import dqc1.state
+    calls = []
+    _refuse_call(monkeypatch, dqc1.state, "philox_stream", calls)
+    code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", *flags)
+    assert code == 2 and out == "" and calls == []
+    assert err == ("error: estimator needs inf runs per observable; "
+                   "the cap is 2147483648\n")
+
+
 def test_conflicting_sources_rejected(capsys):
     code, _, err = run_cli(capsys, "negativity", "--family", "--random", "--n", "3")
     assert code == 2 and "error:" in err

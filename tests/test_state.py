@@ -5,6 +5,7 @@ import pytest
 
 from conftest import haar_unitary
 import dqc1.state
+from dqc1.family import build_family
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
 from dqc1.rng import philox_stream
 from dqc1.state import (build_state, estimate_trace, pauli_expectations,
@@ -218,6 +219,38 @@ def test_separable_decomposition_reconstructs():
         st = build_state(haar_unitary(4, rng), alpha)
         residual = np.max(np.abs(reconstruct_mixture(separable_decomposition(st)) - st.rho))
         assert residual <= 1e-10
+
+
+def _rotated_near_degenerate_diagonal():
+    rng = np.random.default_rng(6)
+    phases = np.array([0.3, 0.3, 0.3 + 1e-9, 0.3 - 1e-9, 2.0, 2.0, -math.pi, math.pi])
+    q = haar_unitary(8, rng)
+    return q @ np.diag(np.exp(1j * phases)) @ q.conj().T
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+DEGENERATE_UNITARIES = {
+    **{f"family{n}": (lambda n=n: build_family(n)) for n in range(2, 6)},
+    "xxx": lambda: np.kron(np.kron(_X, _X), _X),
+    "haar2_x_i4": lambda: np.kron(haar_unitary(2, np.random.default_rng(7)), np.eye(4)),
+    "minus_i8": lambda: -np.eye(8, dtype=complex),
+    "rotated_near_degenerate": _rotated_near_degenerate_diagonal,
+}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.6, -0.4])
+@pytest.mark.parametrize("name", DEGENERATE_UNITARIES)
+def test_separable_decomposition_degenerate_spectra(name, alpha):
+    u = DEGENERATE_UNITARIES[name]()
+    st = build_state(u, alpha)
+    terms = separable_decomposition(st)
+    theta = math.asin(alpha) / 2
+    basis = np.column_stack([e for _, _, e in terms[0::2]])
+    # |b_j> = sin(theta)|0> + e^{i phi_j} cos(theta)|1>, and cos(theta) >= 1/sqrt 2
+    phases = np.array([b[1] for _, b, _ in terms[1::2]]) / math.cos(theta)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(u)))) <= 1e-12
+    assert np.max(np.abs(u @ basis - basis * phases)) <= 1e-12
+    assert np.max(np.abs(reconstruct_mixture(terms) - st.rho)) <= 1e-12
 
 
 def test_separable_decomposition_identity_unitary():
