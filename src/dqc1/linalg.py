@@ -7,6 +7,11 @@ Everything here is pure and never mutates its arguments; the hard size cap is
 14 qubits (a 16384 x 16384 dense matrix).  Callers that build a matrix from a
 qubit count check that count against the cap before they allocate.  Every
 tolerance test is written so that a NaN fails it.
+
+Singular values and the unitarity check are taken per connected block of a
+matrix's exact nonzero entries, so a permutation is N problems of size 1 x 1.
+A dense matrix (a row and a column free of zeros) is one block and gets the
+plain dense call, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,11 +55,60 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
+def _nonzero_blocks(m: np.ndarray) -> list[np.ndarray] | None:
+    """Connected blocks of the bipartite row/column graph of m's nonzero entries.
+
+    Row i and column j are joined when m[i, j] != 0 exactly (NaN and inf
+    count as nonzero).  Returns None when m is one block; otherwise one
+    (B, r, c) stack of m's B blocks of each shape r x c.  A row or column with
+    no nonzero entry is in no block.
+    """
+    nz = m.astype(bool)
+    if nz.all() or (nz.all(axis=1).any() and nz.all(axis=0).any()):
+        return None  # a full row meets every column, and a full column every row
+    n_rows, n_cols = m.shape
+    r, c = np.divmod(np.flatnonzero(nz), n_cols)
+    c += n_rows  # column j is node n_rows + j
+    label = np.arange(n_rows + n_cols)
+    while ((lr := label[r]) != (lc := label[c])).any():
+        # hook each root to its least neighbouring label, then jump to roots
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        while ((up := label[label]) != label).any():
+            label = up
+    per = np.bincount(label, minlength=label.size)
+    rows_per = np.bincount(label[:n_rows], minlength=label.size)
+    roots = np.flatnonzero(rows_per * (per - rows_per))  # components with an entry
+    r_sizes, c_sizes = rows_per[roots], per[roots] - rows_per[roots]
+    if roots.size == 1 and r_sizes[0] * c_sizes[0] == m.size:
+        return None
+    # sorted by label, each block is one run: its rows, then its columns
+    order = np.argsort(label, kind="stable")
+    start = (np.cumsum(per) - per)[roots]
+    shape = r_sizes * (n_cols + 1) + c_sizes  # r x c as one integer
+    blocks = []
+    for key in np.unique(shape):
+        r_size, c_size = divmod(int(key), n_cols + 1)
+        first = start[shape == key, None]
+        rows = order[first + np.arange(r_size)]
+        cols = order[first + r_size + np.arange(c_size)] - n_rows
+        blocks.append(m[rows[:, :, None], cols[:, None, :]])
+    return blocks
+
+
 def unitary_defect(u: np.ndarray) -> float:
-    """Max-norm of U^dag U - I; NaN when U has a non-finite entry."""
+    """Max-norm of U^dag U - I; NaN when U has a non-finite entry.
+
+    Taken per block of :func:`_nonzero_blocks`: entries between blocks are sums
+    of exact zero products, and a column with no nonzero entry has defect 1."""
     u = as_complex_matrix(u)
+    blocks = _nonzero_blocks(u)
     with np.errstate(invalid="ignore"):
-        return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+        if blocks is None:
+            return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+        defects = [max_abs(b.conj().swapaxes(1, 2) @ b - np.eye(b.shape[2])) for b in blocks]
+    if sum(b.shape[0] * b.shape[2] for b in blocks) < u.shape[1]:
+        defects.append(1.0)
+    return float(np.max(defects))  # np.max, unlike max, keeps a NaN
 
 
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
@@ -149,8 +203,16 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values (eigenvalues of sqrt(m^dag m)), sorted descending."""
-    return np.linalg.svd(as_complex_matrix(m), compute_uv=False)
+    """Singular values (eigenvalues of sqrt(m^dag m)), sorted descending: those
+    of m's blocks (one stacked SVD per block shape; see :func:`_nonzero_blocks`),
+    padded with zeros."""
+    m = as_complex_matrix(m)
+    blocks = _nonzero_blocks(m)
+    if blocks is None:
+        return np.linalg.svd(m, compute_uv=False)
+    found = [np.linalg.svd(b, compute_uv=False).ravel() for b in blocks]
+    zeros = np.zeros(m.shape[0] - sum(f.size for f in found))
+    return np.sort(np.concatenate([*found, zeros]))[::-1]
 
 
 def save_unitary(path, u: np.ndarray) -> None:

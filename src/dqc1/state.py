@@ -156,7 +156,7 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
     _require_polarization(alpha)
     runs = runs_required(alpha, epsilon, p_error)
     if runs > MAX_TRACE_RUNS:
-        raise ValueError(f"estimator needs {runs} runs per observable; "
+        raise ValueError(f"estimator needs {runs:.3g} runs per observable; "
                          f"the cap is {MAX_TRACE_RUNS}")
     mean_x, mean_y = pauli_expectations(build_state(u, alpha))
     rng = philox_stream(seed, 0)

@@ -255,7 +255,7 @@ def test_trace_over_run_cap_refused_before_drawing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", "--alpha", "0.25",
                              "--epsilon", "0.0001", "--p-error", "1e-6")
     assert code == 2 and out == "" and calls == []
-    assert err == ("error: estimator needs 48645775742 runs per observable; "
+    assert err == ("error: estimator needs 4.86e+10 runs per observable; "
                    "the cap is 2147483648\n")
 
 
@@ -270,6 +270,15 @@ def test_trace_underflowing_accuracy_refused_at_run_cap(capsys, monkeypatch, fla
     assert code == 2 and out == "" and calls == []
     assert err == ("error: estimator needs inf runs per observable; "
                    "the cap is 2147483648\n")
+
+
+def test_trace_huge_run_count_refused_in_one_short_line(capsys):
+    # 2 ln(4/0.01)/1e-200 runs: a finite count of 200 digits, printed to 3
+    code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", "--epsilon", "1e-100")
+    assert code == 2 and out == ""
+    assert err == ("error: estimator needs 1.2e+201 runs per observable; "
+                   "the cap is 2147483648\n")
+    assert len(err) < 100
 
 
 def test_conflicting_sources_rejected(capsys):

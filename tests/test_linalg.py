@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density
-from dqc1.linalg import (Bipartition, hermitian_eigenvalues, load_unitary,
-                         partial_transpose, require_density, save_unitary,
-                         singular_values, tensor_product)
+from dqc1.linalg import (Bipartition, _nonzero_blocks, hermitian_eigenvalues, load_unitary,
+                         partial_transpose, require_density, require_unitary, save_unitary,
+                         singular_values, tensor_product, unitary_defect)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -120,6 +120,85 @@ def test_singular_values_unitarily_invariant():
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     v, w = haar_unitary(8, rng), haar_unitary(8, rng)
     assert np.allclose(singular_values(v @ m @ w), singular_values(m), atol=1e-10)
+
+
+def phased_permutation(dim, rng, phases=None):
+    """A permutation matrix with unit phases (uniform ones unless given)."""
+    if phases is None:
+        phases = np.exp(2j * np.pi * rng.uniform(size=dim))
+    return np.eye(dim)[rng.permutation(dim)] * phases
+
+
+def scrambled(m, rng):
+    """m with its rows and its columns randomly permuted."""
+    return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
+
+
+def test_singular_values_block_route_matches_dense_svd():
+    rng = np.random.default_rng(13)
+    direct_sum = np.zeros((24, 24), dtype=complex)
+    direct_sum[:7, :7] = haar_unitary(7, rng)
+    direct_sum[7:, 7:] = haar_unitary(17, rng)
+    with_zeros = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    with_zeros[[3, 20]] = 0
+    with_zeros[:, [0, 9, 10]] = 0
+    sparse = rng.standard_normal((16, 16)) * (rng.uniform(size=(16, 16)) < 0.1)
+    chain = np.diag(rng.standard_normal(64)) + np.diag(rng.standard_normal(63), 1)
+    cases = {"phased permutation": phased_permutation(64, rng),
+             "V x I4": scrambled(np.kron(haar_unitary(16, rng), np.eye(4)), rng),
+             "direct sum": scrambled(direct_sum, rng),
+             "zero rows and columns": scrambled(with_zeros, rng),
+             "sparse with empty rows": sparse.astype(complex),
+             "bidiagonal chain": scrambled(chain, rng).astype(complex),
+             "zero matrix": np.zeros((4, 4), dtype=complex)}
+    for name, m in cases.items():
+        dense = np.linalg.svd(m, compute_uv=False)
+        assert np.max(np.abs(singular_values(m) - dense)) <= 1e-13, name
+    # the chain is one block: labelled as such, it gets the dense call
+    assert _nonzero_blocks(cases["bidiagonal chain"]) is None
+    assert [b.shape for b in _nonzero_blocks(cases["phased permutation"])] == [(64, 1, 1)]
+    assert [b.shape for b in _nonzero_blocks(cases["V x I4"])] == [(4, 16, 16)]
+    assert [b.shape for b in _nonzero_blocks(cases["direct sum"])] == [(1, 7, 7), (1, 17, 17)]
+
+
+def test_dense_input_takes_the_plain_calls_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for dim in (1, 2, 16, 64):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u = haar_unitary(dim, rng)
+        assert np.array_equal(singular_values(m), np.linalg.svd(m, compute_uv=False))
+        assert unitary_defect(u) == np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+    m[5, 7] = 0  # row 0 and column 0 still have no zero: one block
+    assert _nonzero_blocks(m) is None
+
+
+def test_unitary_defect_of_exact_phased_permutation_is_zero():
+    rng = np.random.default_rng(15)
+    exact_phases = np.array([1, 1j, -1, -1j])[rng.integers(4, size=32)]
+    u = phased_permutation(32, rng, phases=exact_phases)
+    assert _nonzero_blocks(u) is not None
+    assert unitary_defect(u) == 0.0
+    assert unitary_defect(scrambled(np.kron(haar_unitary(8, rng), np.eye(4)), rng)) <= 1e-14
+
+
+def test_block_route_refuses_non_unitaries():
+    rng = np.random.default_rng(16)
+    u = phased_permutation(16, rng)
+    zero_col = u.copy()
+    zero_col[:, 5] = 0
+    assert unitary_defect(zero_col) == 1.0
+    bad = [zero_col]
+    for value in (np.nan, np.inf):
+        on_entry, joining = u.copy(), u.copy()
+        on_entry[np.nonzero(u[:, 3])[0][0], 3] = value
+        # a non-finite entry where U is zero joins two 1 x 1 blocks into a
+        # 2 x 2 block, whose defect the other, exact, blocks must not hide
+        joining[np.nonzero(u[:, 3])[0][0], 4] = value
+        bad += [on_entry, joining]
+    for m in bad:
+        assert _nonzero_blocks(m) is not None
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(m)
 
 
 def test_bipartition_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density
-from dqc1.family import build_family
+from dqc1.family import build_family, family_negativity
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose, singular_values
 from dqc1.negativity import (negativity_eigen, negativity_singular,
                              pure_state_negativity, unpolarized_partial_transpose)
@@ -177,6 +177,21 @@ def test_block_offdiagonal_trace_powers():
         assert abs(np.trace(c)) <= 1e-12
         assert abs(np.trace(c @ c) - 2 * 2**n) <= 1e-10
         assert abs(np.trace(c @ c @ c)) <= 1e-10
+
+
+def test_family_singular_route_up_to_twelve_qubits():
+    # the family's U and its partial transposes fall apart into blocks of at
+    # most 2 x 2, so the singular route costs milliseconds even at N = 2048
+    for n in range(2, 12):
+        u = build_family(n)
+        for alpha in (1.0, 0.75):
+            st = build_state(u, alpha)
+            for k in range(1, n + 1):
+                part = Bipartition.trailing(n + 1, k)
+                m = negativity_singular(st, part).m_value
+                assert abs(m - family_negativity(n, alpha, part)) <= 1e-12, (n, alpha, k)
+                if n + 1 <= 9:
+                    assert abs(negativity_eigen(st, part).m_value - m) <= 1e-12, (n, alpha, k)
 
 
 def test_pure_state_negativity_values():
