@@ -179,13 +179,19 @@ def cmd_trace(args: argparse.Namespace, config: dict[str, str]) -> str:
     cfg = _resolve(args, config, defaults, casts={"n": int, "samples": int})
     lines = []
     if cfg["pathsum"]:
+        unitary_flags = [f"--{key}" for key in ("family", "random", "file", "n")
+                         if cfg[key] != defaults[key]]
+        if unitary_flags:
+            raise ValueError(f"--pathsum conflicts with {', '.join(unitary_flags)}")
+        if cfg["exact"] and cfg["samples"] is not None:
+            raise ValueError("--exact conflicts with --samples")
         circuit = pathsum.load_circuit(cfg["pathsum"])
         prepared = pathsum.prepare_circuit(circuit, cfg["mode"])
         poly = pathsum.compile_circuit(prepared)
         lines.append(f"qubits={circuit.n}")
         lines.append(f"mode={cfg['mode']}")
         lines.append(f"path_bits={poly.n_path_bits}")
-        if cfg["exact"] or cfg["samples"] is None:
+        if cfg["samples"] is None:
             exact = pathsum.exact_trace_enumeration(poly)
             counted = pathsum.trace_by_counting(poly)
             lines.append(f"trace_re={_fmt(exact.real)}")

@@ -20,9 +20,8 @@ import numpy as np
 from .linalg import as_complex_matrix, num_qubits, require_unitary, MAX_QUBITS
 from .rng import philox_stream
 
-# estimator runs per observable: about a minute of Philox draws
-MAX_TRACE_RUNS = 2**31
-_DRAW_CHUNK = 1 << 20
+# estimator runs per observable: the largest L Generator.binomial takes (int64)
+MAX_TRACE_RUNS = 2**62
 
 
 @dataclass(frozen=True)
@@ -116,18 +115,6 @@ def runs_required(alpha: float, epsilon: float, p_error: float) -> int | float:
     return math.ceil(runs) if math.isfinite(runs) else runs
 
 
-def _count_below(rng: np.random.Generator, runs: int, p: float) -> int:
-    """How many of the next ``runs`` uniforms of ``rng`` fall below ``p``.
-
-    Drawn _DRAW_CHUNK at a time; the stream is consumed exactly as by one
-    draw of ``runs`` values.
-    """
-    count = 0
-    for start in range(0, runs, _DRAW_CHUNK):
-        count += int(np.count_nonzero(rng.uniform(size=min(_DRAW_CHUNK, runs - start)) < p))
-    return count
-
-
 def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
                    seed: int) -> TraceEstimate:
     """Simulate the repeated-measurement estimate of tr(U)/2**n.
@@ -135,17 +122,16 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
     Runs L = ceil(2 ln(4/p_error) / (alpha*epsilon)**2) independent circuits
     for X and another L for Y.  Each run draws an outcome of +-1 with
     p(+1) = (1 + <X>)/2 (resp. <Y>); the estimate is (mean_X - i mean_Y)/alpha.
-    Only the count c of +1 outcomes is kept: mean = (2c - L)/L, whose
-    numerator is the exact sum of the +-1 outcomes, so the estimate is the
-    same float as the mean of the materialized outcomes.
+    Only the count c of +1 outcomes is kept, the estimator's sufficient
+    statistic: c ~ Binomial(L, p), drawn once per observable, and
+    mean = (2c - L)/L.  p is clipped to [0, 1], since a U inside the unitarity
+    tolerance can put |<X>| a hair above 1.
 
     Deterministic given ``seed``: a single Philox stream keyed (seed, 0)
-    supplies 2L uniforms, the first L for the X batch, then L for the Y batch.
-    They are streamed in chunks of _DRAW_CHUNK, so memory is O(chunk) whatever
-    L is.  L above MAX_TRACE_RUNS per observable is refused before any state is
-    built or any number drawn, so alpha is checked first; U is checked by
-    :func:`build_state`, and the two expectations are those of
-    :func:`pauli_expectations`.
+    draws the X count, then the Y count.  L above MAX_TRACE_RUNS per
+    observable is refused before any state is built or any number drawn, so
+    alpha is checked first; U is checked by :func:`build_state`, and the two
+    expectations are those of :func:`pauli_expectations`.
     """
     if alpha == 0:
         raise ValueError("alpha = 0 carries no trace signal")
@@ -160,8 +146,8 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
                          f"the cap is {MAX_TRACE_RUNS}")
     mean_x, mean_y = pauli_expectations(build_state(u, alpha))
     rng = philox_stream(seed, 0)
-    count_x = _count_below(rng, runs, (1 + mean_x) / 2)
-    count_y = _count_below(rng, runs, (1 + mean_y) / 2)
+    p_x, p_y = np.clip([(1 + mean_x) / 2, (1 + mean_y) / 2], 0.0, 1.0)
+    count_x, count_y = int(rng.binomial(runs, p_x)), int(rng.binomial(runs, p_y))
     est = complex((2 * count_x - runs) / runs, -((2 * count_y - runs) / runs)) / alpha
     return TraceEstimate(estimate=est, runs_used=runs, epsilon=epsilon,
                          p_error=p_error, seed=seed)

@@ -162,9 +162,9 @@ GOLDEN_UNITARY_ROUTES = [
       "6,2,0.75,1.125,0.0625,eigen"]),
     (("trace", "--random", "--n", "6", "--seed", "2", "--epsilon", "0.1"),
      ["n_plus_1=6", "alpha=1", "epsilon=0.10000000000000001", "p_error=0.01", "seed=2",
-      "runs_used=1199", "estimate_re=0.042535446205170975",
-      "estimate_im=-0.024186822351959968", "true_re=0.014490376515045509",
-      "true_im=-0.00077051189334391423", "abs_error=0.036535592638115039"]),
+      "runs_used=1199", "estimate_re=-0.0075062552126772307",
+      "estimate_im=0.017514595496246871", "true_re=0.014490376515045509",
+      "true_im=-0.00077051189334391423", "abs_error=0.028604142350609398"]),
 ]
 
 
@@ -185,6 +185,30 @@ def test_trace_pathsum_sampled(capsys, tmp_path):
     assert code == 0
     report = dict(line.split("=", 1) for line in out.strip().split("\n"))
     assert "stderr" in report and "normalized_estimate_re" in report
+
+
+def test_trace_pathsum_exact_with_samples_refused(capsys, tmp_path):
+    path = tmp_path / "circuit.txt"
+    save_circuit(path, GateCircuit(2, (H(0), CNOT(0, 1))))
+    code, out, err = run_cli(capsys, "trace", "--pathsum", str(path), "--mode", "t_gate",
+                             "--exact", "--samples", "100")
+    assert code == 2 and out == ""
+    assert err == "error: --exact conflicts with --samples\n"
+
+
+def test_trace_pathsum_with_unitary_source_refused(capsys, tmp_path):
+    path = tmp_path / "circuit.txt"
+    save_circuit(path, GateCircuit(2, (H(0), CNOT(0, 1))))
+    code, out, err = run_cli(capsys, "trace", "--pathsum", str(path), "--random", "--n", "3",
+                             "--exact")
+    assert code == 2 and out == ""
+    assert err == "error: --pathsum conflicts with --random, --n\n"
+    # the settings are checked after the config file is merged in
+    config = tmp_path / "run.cfg"
+    config.write_text("family=true\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "trace", "--pathsum", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: --pathsum conflicts with --family\n"
 
 
 def test_family_verify(capsys):
@@ -253,10 +277,20 @@ def test_trace_over_run_cap_refused_before_drawing(capsys, monkeypatch):
     calls = []
     _refuse_call(monkeypatch, dqc1.state, "philox_stream", calls)
     code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", "--alpha", "0.25",
-                             "--epsilon", "0.0001", "--p-error", "1e-6")
+                             "--epsilon", "1e-9", "--p-error", "1e-6")
     assert code == 2 and out == "" and calls == []
-    assert err == ("error: estimator needs 4.86e+10 runs per observable; "
-                   "the cap is 2147483648\n")
+    assert err == ("error: estimator needs 4.86e+20 runs per observable; "
+                   "the cap is 4611686018427387904\n")
+
+
+def test_trace_tens_of_billions_of_runs(capsys):
+    # L = 4.86e10 per observable: one binomial count each, well under the cap
+    code, out, _ = run_cli(capsys, "trace", "--random", "--n", "3", "--alpha", "0.25",
+                           "--epsilon", "0.0001", "--p-error", "1e-6")
+    assert code == 0
+    report = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert report["runs_used"] == "48645775742"
+    assert float(report["abs_error"]) <= 1e-4
 
 
 @pytest.mark.parametrize("flags", [("--epsilon", "1e-200"), ("--epsilon", "1e-160"),
@@ -269,7 +303,7 @@ def test_trace_underflowing_accuracy_refused_at_run_cap(capsys, monkeypatch, fla
     code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", *flags)
     assert code == 2 and out == "" and calls == []
     assert err == ("error: estimator needs inf runs per observable; "
-                   "the cap is 2147483648\n")
+                   "the cap is 4611686018427387904\n")
 
 
 def test_trace_huge_run_count_refused_in_one_short_line(capsys):
@@ -277,7 +311,7 @@ def test_trace_huge_run_count_refused_in_one_short_line(capsys):
     code, out, err = run_cli(capsys, "trace", "--random", "--n", "3", "--epsilon", "1e-100")
     assert code == 2 and out == ""
     assert err == ("error: estimator needs 1.2e+201 runs per observable; "
-                   "the cap is 2147483648\n")
+                   "the cap is 4611686018427387904\n")
     assert len(err) < 100
 
 

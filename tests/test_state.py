@@ -8,7 +8,6 @@ from conftest import haar_unitary
 import dqc1.state
 from dqc1.family import build_family
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
-from dqc1.rng import philox_stream
 from dqc1.state import (build_state, estimate_trace, pauli_expectations,
                         reconstruct_mixture, runs_required, separable_ball_alpha,
                         separable_decomposition)
@@ -138,35 +137,6 @@ def test_estimate_trace_rejections():
         estimate_trace(u, 1.5, 1e-6, 0.1, seed=0)
 
 
-def materialized_estimate(u, alpha, epsilon, p_error, seed):
-    """The estimator as one array of L outcomes per observable: the oracle."""
-    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
-    runs = runs_required(alpha, epsilon, p_error)
-    rng = philox_stream(seed, 0)
-    draws_x = rng.uniform(size=runs)
-    draws_y = rng.uniform(size=runs)
-    outcomes_x = np.where(draws_x < (1 + mean_x) / 2, 1.0, -1.0)
-    outcomes_y = np.where(draws_y < (1 + mean_y) / 2, 1.0, -1.0)
-    return complex(outcomes_x.mean(), -outcomes_y.mean()) / alpha
-
-
-def test_streamed_estimate_equals_materialized(monkeypatch):
-    rng = np.random.default_rng(21)
-    for _ in range(12):
-        u = haar_unitary(2 ** int(rng.integers(1, 4)), rng)
-        alpha = float(rng.choice([-1, 1]) * rng.uniform(0.3, 1.0))
-        epsilon, p_error = float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.01, 0.5))
-        seed = int(rng.integers(0, 2**63))
-        runs = runs_required(alpha, epsilon, p_error)
-        expected = repr(materialized_estimate(u, alpha, epsilon, p_error, seed))
-        # one chunk, an exact multiple, one draw past a multiple, and a partial chunk
-        for chunk in (runs + 1, runs, max(1, runs // 3), runs - 1, 7, 1):
-            monkeypatch.setattr(dqc1.state, "_DRAW_CHUNK", chunk)
-            est = estimate_trace(u, alpha, epsilon, p_error, seed)
-            assert est.runs_used == runs
-            assert repr(est.estimate) == expected, (runs, chunk)
-
-
 def _refuse_draws_and_state(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("built a state or drew before the run cap was checked")
@@ -188,10 +158,35 @@ def test_estimate_trace_run_cap_boundary(monkeypatch):
 
 def test_estimate_trace_refuses_over_run_cap(monkeypatch):
     _refuse_draws_and_state(monkeypatch)
-    runs = runs_required(0.25, 1e-4, 1e-6)
-    assert runs > dqc1.state.MAX_TRACE_RUNS == 2**31
+    runs = runs_required(0.25, 1e-9, 1e-6)
+    assert runs > dqc1.state.MAX_TRACE_RUNS == 2**62
     with pytest.raises(ValueError, match=re.escape(f"needs {runs:.3g} runs per observable")):
-        estimate_trace(np.eye(2, dtype=complex), 0.25, 1e-4, 1e-6, seed=0)
+        estimate_trace(np.eye(2, dtype=complex), 0.25, 1e-9, 1e-6, seed=0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_estimate_trace_clips_probability_inside_unitarity_tolerance(sign):
+    # defect 8e-11 passes require_unitary, yet <X> = 1 + 4e-11 puts p(+1) above 1
+    u = sign * (1 + 4e-11) * np.eye(2, dtype=complex)
+    assert sign * pauli_expectations(build_state(u, 1.0))[0] > 1
+    for seed in range(5):
+        assert estimate_trace(u, 1.0, 0.05, 0.01, seed).estimate.real == sign * 1.0
+
+
+def test_estimator_variance_matches_binomial():
+    # Var(estimate.real) = (1 - <X>^2) / (L alpha^2), and likewise for <Y>.  Over
+    # 4000 seeds the sample variance has relative standard deviation
+    # sqrt(2/3999) = 0.022, so a 0.12 tolerance is over 5 sigma; an estimator
+    # drawing 2L or L/2 runs would be off by a factor of 2.
+    u = haar_unitary(4, np.random.default_rng(23))
+    alpha, epsilon, p_error = 0.6, 0.3, 0.1
+    runs = runs_required(alpha, epsilon, p_error)
+    expectations = pauli_expectations(build_state(u, alpha))
+    estimates = np.array([estimate_trace(u, alpha, epsilon, p_error, seed).estimate
+                          for seed in range(4000)])
+    for sample, mean in zip((estimates.real, estimates.imag), expectations):
+        expected = (1 - mean**2) / (runs * alpha**2)
+        assert abs(sample.var(ddof=1) / expected - 1) <= 0.12
 
 
 def test_partially_transposed_state_is_exactly_hermitian():
