@@ -9,9 +9,8 @@ trace-power constraints, and evaluates circuit traces classically by
 sum-over-paths.
 """
 
-from .linalg import (Bipartition, hermitian_eigenvalues, load_unitary,
-                     partial_transpose, save_unitary, singular_values,
-                     tensor_product)
+from .linalg import (Bipartition, load_unitary, partial_transpose, save_unitary,
+                     singular_values)
 from .state import (Dqc1State, TraceEstimate, build_state, estimate_trace,
                     pauli_expectations, runs_required, separable_ball_alpha,
                     separable_decomposition)
@@ -19,9 +18,8 @@ from .negativity import (NegativityResult, negativity_eigen,
                          negativity_singular, pure_state_negativity)
 from .family import (U2Blocks, build_family, canonical_u2, circuit_family,
                      family_negativity)
-from .ensemble import (RandomCircuitParams, SweepStats, mixing_operator,
-                       negativity_sweep, pseudo_random_unitary, random_su2,
-                       su2_rotation)
+from .ensemble import (RandomCircuitParams, SweepStats, negativity_sweep,
+                       pseudo_random_unitary, random_su2, su2_rotation)
 from .bounds import (BoundResult, SpectrumSolution, bound_s12, bound_s123,
                      bound_s123_asymptotic, trace_power)
 from .pathsum import (CNOT, Gate, GateCircuit, H, T, TOFFOLI, compile_circuit,

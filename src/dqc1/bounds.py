@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 CONSTRAINT_TOL = 1e-10
-ROOT_DEDUPE_TOL = 1e-8
 EXHAUSTIVE_MAX_TWO_N = 78
 GUIDED_RADIUS = 3
 
@@ -116,7 +115,7 @@ def bound_s12(N: int, alpha: float) -> tuple[BoundResult, BoundResult]:
 # s = 1, 2, 3 bound (alpha = 1)
 
 def _triple_solutions(triples: Sequence[tuple[int, int, int]],
-                      N: float) -> list[tuple[int, float, float, float]]:
+                      N: float) -> list[SpectrumSolution]:
     """Every real solution of the moment system for each degeneracy triple.
 
     Shifted by the mean mu = 1/(2N), the values a = A - mu, b = B - mu,
@@ -126,12 +125,13 @@ def _triple_solutions(triples: Sequence[tuple[int, int, int]],
     a quadratic plus the direction b = 0 when u = w.  Each direction gives the
     pair mu +- s (a, b, c), with s > 0 fixed by the quadratic constraint.  Roots
     enter by their real part; the residual filter drops complex ones and keeps
-    double roots.  Returns the (triple_index, A, B, C) rows that pass it.
+    double roots.  Returns one canonically ordered solution (see
+    :func:`_canonical`) per row that passes it, triple by triple.
     """
     x = 1.0 / N
     mu = x / 2
     rows = []
-    for i, (u, v, w) in enumerate(triples):
+    for u, v, w in triples:
         cubic = [u * (w * w - u * u), -3 * u * u * v, -3 * u * v * v, v * (w * w - v * v)]
         directions = [(float(t), 1.0) for t in np.roots(cubic).real]
         if u == w:
@@ -144,7 +144,9 @@ def _triple_solutions(triples: Sequence[tuple[int, int, int]],
                 f1 = u * A * A + v * B * B + w * C * C - x
                 f2 = u * A**3 + v * B**3 + w * C**3 - x * x
                 if abs(f1) <= CONSTRAINT_TOL and abs(f2) <= CONSTRAINT_TOL:
-                    rows.append((i, A, B, C))
+                    vals, degs = _canonical((A, B, C), (u, v, w))
+                    m = sum(d * abs(t) for t, d in zip(vals, degs))
+                    rows.append(SpectrumSolution(vals, degs, m))
     return rows
 
 
@@ -155,22 +157,6 @@ def _canonical(values: Sequence[float], degs: Sequence[int]) -> tuple[tuple[floa
     pairs = sorted(zip(values, degs))
     (va, da), (vc, dc), (vb, db) = pairs
     return (va, vb, vc), (da, db, dc)
-
-
-def solve_degeneracy_triple(u: int, v: int, w: int, N: float) -> list[SpectrumSolution]:
-    """All real solutions of the three-moment system for one degeneracy triple,
-    deduplicated, in canonical order."""
-    seen = set()
-    out = []
-    for _, a, b, c in _triple_solutions([(u, v, w)], N):
-        vals, degs = _canonical((a, b, c), (u, v, w))
-        key = tuple(round(t / ROOT_DEDUPE_TOL) for t in vals)
-        if key in seen:
-            continue
-        seen.add(key)
-        m = sum(d * abs(t) for t, d in zip(vals, degs))
-        out.append(SpectrumSolution(vals, degs, m))
-    return sorted(out, key=lambda s: -s.m_value)
 
 
 def _pattern_center(N: float, two_n: int) -> tuple[int, int, int]:
@@ -215,10 +201,7 @@ def bound_s123(N: int) -> BoundResult:
             return True
         return cand.m_value == cur.m_value and cand.degeneracies < cur.degeneracies
 
-    for tri_idx, a, b, c in _triple_solutions(triples, float(N)):
-        vals, dd = _canonical((a, b, c), triples[tri_idx])
-        m = sum(d * abs(t) for t, d in zip(vals, dd))
-        cand = SpectrumSolution(vals, dd, m)
+    for cand in _triple_solutions(triples, float(N)):
         if better(cand, best):
             best = cand
     if best is None:

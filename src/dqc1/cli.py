@@ -114,14 +114,14 @@ def _resolve_unitary(cfg: dict) -> tuple[np.ndarray, int]:
 
 def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
     defaults = {"family": False, "random": False, "file": None, "n": None,
-                "alpha": 1.0, "k": 1, "seed": 0, "method": "eigen"}
+                "alpha": 1.0, "k": 1, "seed": 0, "method": "singular"}
     cfg = _resolve(args, config, defaults, casts={"n": int})
-    u, n_plus_1 = _resolve_unitary(cfg)
-    state = build_state(u, cfg["alpha"])
-    part = Bipartition.trailing(n_plus_1, cfg["k"])
     routes = {"eigen": negativity_eigen, "singular": negativity_singular}
     if cfg["method"] not in routes:
         raise ValueError(f"method must be eigen or singular, got {cfg['method']!r}")
+    u, n_plus_1 = _resolve_unitary(cfg)
+    state = build_state(u, cfg["alpha"])
+    part = Bipartition.trailing(n_plus_1, cfg["k"])
     res = routes[cfg["method"]](state, part)
     rows = ["n_plus_1,k,alpha,m_value,n_value,method",
             f"{n_plus_1},{cfg['k']},{_fmt(cfg['alpha'])},{_fmt(res.m_value)},"
@@ -139,6 +139,8 @@ def cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> str:
         sizes = _parse_range(cfg["range"])
     else:
         raise ValueError("sweep needs --range or --nplus1")
+    if cfg["all_splits"] and cfg["split"] not in ("half", "all"):
+        raise ValueError(f"--all-splits conflicts with --split {cfg['split']}")
     split = "all" if cfg["all_splits"] else cfg["split"]
     if split not in ("half", "all"):
         split = int(split)
@@ -152,6 +154,8 @@ def cmd_bounds(args: argparse.Namespace, config: dict[str, str]) -> str:
     cfg = _resolve(args, config, defaults)  # two_n stays a string ("8" or "8..78")
     if not cfg["two_n"]:
         raise ValueError("bounds needs --two-n")
+    if cfg["kind"] in ("s123", "asymptote") and cfg["alpha"] != 1:
+        raise ValueError(f"--kind {cfg['kind']} holds only at alpha = 1, got {cfg['alpha']!r}")
     values = _parse_range(cfg["two_n"])
     if len(values) > 1:
         values = [v for v in values if v % 2 == 0]  # a 2N range steps by 2
@@ -263,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("negativity", help="negativity of one output state")
     add_source_flags(p)
     p.add_argument("--k", type=int, help="trailing split size (default 1)")
-    p.add_argument("--method", choices=("eigen", "singular"))
+    p.add_argument("--method", choices=("eigen", "singular"),
+                   help="singular: SVD of the N x N transposed U (default); "
+                        "eigen: spectrum of the 2N x 2N transposed rho (cross-check)")
     p.set_defaults(func=cmd_negativity)
 
     p = sub.add_parser("sweep", help="negativity statistics over random unitaries")

@@ -77,17 +77,13 @@ def random_su2(rng: np.random.Generator,
     return su2_rotation(angles[..., 0], angles[..., 1], angles[..., 2])
 
 
-def mixing_operator(n: int) -> np.ndarray:
-    """Diagonal phase unitary exp(i pi/4 sum_j Z_j Z_{j+1}) over nearest neighbors.
+def _mixing_phases(n: int) -> np.ndarray:
+    """Diagonal of the phase unitary exp(i pi/4 sum_j Z_j Z_{j+1}) over nearest
+    neighbors.
 
     Basis state b picks up exp(i pi/4 * sum_j (-1)^(b_j xor b_{j+1})); with a
     single qubit the sum is empty and the operator is the identity.
     """
-    return np.diag(_mixing_phases(n))
-
-
-def _mixing_phases(n: int) -> np.ndarray:
-    """The diagonal of :func:`mixing_operator`, without the dense matrix."""
     if n < 1:
         raise ValueError("need n >= 1")
     idx = np.arange(2**n)

@@ -50,11 +50,6 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the most significant qubits."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def _nonzero_blocks(m: np.ndarray) -> list[np.ndarray] | None:
     """Connected blocks of the bipartite row/column graph of m's nonzero entries.
 
@@ -119,6 +114,7 @@ def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return u
 
 
+# perfbench/tracer.py times this by name: moving or renaming it breaks `run.py --trace 1`
 def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     rho = as_complex_matrix(rho)
@@ -193,6 +189,7 @@ def partial_transpose(m: np.ndarray, part: Bipartition) -> np.ndarray:
     return m.reshape((2,) * (2 * t)).transpose(axes).reshape(m.shape)
 
 
+# only tests call this; it stays while perfbench/tracer.py times it by name
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     m = as_complex_matrix(m)

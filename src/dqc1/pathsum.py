@@ -158,25 +158,8 @@ def _flipped_rows(g: Gate, n: int) -> np.ndarray:
     return cols ^ (on << (n - 1 - t))
 
 
-def gate_matrix(g: Gate, n: int) -> np.ndarray:
-    """Full 2**n matrix of a single gate (qubit 0 most significant).
-
-    The dense reference that the per-gate kernel of :func:`circuit_unitary`
-    is tested against.
-    """
-    if g.name in ("H", "T"):
-        base = _H_MAT if g.name == "H" else _T_MAT
-        out = np.eye(1, dtype=np.complex128)
-        for q in range(n):
-            out = np.kron(out, base if q == g.qubits[0] else np.eye(2))
-        return out
-    m = np.zeros((2**n, 2**n), dtype=np.complex128)
-    m[_flipped_rows(g, n), np.arange(2**n)] = 1.0
-    return m
-
-
 def _apply_gate(u: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    """gate_matrix(g, n) @ u in O(2**n) work per column of u.
+    """The full 2**n matrix of gate g times u, in O(2**n) work per column of u.
 
     H mixes the row pairs that differ in bit q, T scales the rows whose bit q
     is 1, and CNOT/TOFFOLI permute rows.  ``u`` is left unchanged.
@@ -364,6 +347,7 @@ def exact_trace_enumeration(p: PathPolynomials) -> complex:
     return _norm(p) * complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
+# perfbench/tracer.py times this by name: moving or renaming it breaks `run.py --trace 1`
 def path_class_counts(p: PathPolynomials) -> np.ndarray:
     """Tally paths by phase class: shape (8, 2), entry [c, b] counting the
     paths with chi = c and phase = b."""

@@ -194,17 +194,6 @@ def separable_decomposition(state: Dqc1State) -> list[tuple[float, np.ndarray, n
     return terms
 
 
-def reconstruct_mixture(terms: list[tuple[float, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Rebuild the density matrix of a product-state mixture."""
-    dim0 = len(terms[0][1])
-    dim1 = len(terms[0][2])
-    rho = np.zeros((dim0 * dim1, dim0 * dim1), dtype=np.complex128)
-    for w, a, e in terms:
-        vec = np.kron(a, e)
-        rho += w * np.outer(vec, vec.conj())
-    return rho
-
-
 def separable_ball_alpha(n: int) -> tuple[float, float]:
     """Polarization thresholds placing the state inside balls around I/2**(n+1).
 

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from dqc1.bounds import (bound_s12, bound_s123, bound_s123_asymptotic,
-                         bounds_csv, solve_degeneracy_triple, trace_power)
+                         bounds_csv, trace_power)
+from oracles import solve_degeneracy_triple
 
 SQRT2 = math.sqrt(2)
 

@@ -22,7 +22,7 @@ def test_negativity_family(capsys):
     fields = row.split(",")
     assert fields[:2] == ["3", "1"]
     assert float(fields[3]) == pytest.approx(1.25, abs=1e-9)
-    assert fields[5] == "eigen"
+    assert fields[5] == "singular"
 
 
 def test_negativity_from_file_alpha_zero(capsys, tmp_path):
@@ -41,6 +41,21 @@ def test_negativity_singular_method(capsys):
     row = out.strip().split("\n")[1].split(",")
     assert float(row[3]) == pytest.approx(1.25, abs=1e-9)
     assert row[5] == "singular"
+
+
+@pytest.mark.parametrize("source,n_plus_1,seed",
+                         [("--family", n1, "0") for n1 in range(3, 9)]
+                         + [("--random", n1, seed) for n1 in range(4, 8) for seed in ("1", "2")])
+def test_negativity_default_route_matches_eigen(capsys, source, n_plus_1, seed):
+    # no --method runs the singular route; the 2N x 2N eigen route is its oracle
+    for k in range(1, n_plus_1):
+        argv = ("negativity", source, "--n", str(n_plus_1), "--seed", seed, "--k", str(k))
+        code, out, _ = run_cli(capsys, *argv)
+        row = out.strip().split("\n")[1].split(",")
+        assert code == 0 and row[5] == "singular"
+        code, out, _ = run_cli(capsys, *argv, "--method", "eigen")
+        assert code == 0
+        assert abs(float(row[3]) - float(out.strip().split("\n")[1].split(",")[3])) <= 1e-12
 
 
 def test_negativity_random_reproducible(capsys):
@@ -72,6 +87,13 @@ def test_sweep_output_bytes_identical(tmp_path, capsys):
     assert len(rows) == 4  # header + k = 1, 2, 3
 
 
+def test_sweep_all_splits_with_split_refused(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--nplus1", "4", "--split", "2",
+                             "--all-splits", "--samples", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --all-splits conflicts with --split 2\n"
+
+
 def test_bounds_s12_sweep(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--kind", "s12", "--alpha", "1",
                            "--two-n", "8..16")
@@ -96,6 +118,21 @@ def test_bounds_asymptote(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert float(row[2]) == pytest.approx(np.sqrt(2) - 2 ** (-7 / 6) * 512 ** (-1 / 3))
+
+
+@pytest.mark.parametrize("kind,two_n", [("s123", "8"), ("asymptote", "1024")])
+def test_bounds_alpha_one_kinds_refuse_other_alpha(capsys, tmp_path, kind, two_n):
+    code, out, err = run_cli(capsys, "bounds", "--kind", kind, "--two-n", two_n,
+                             "--alpha", "0.3")
+    assert code == 2 and out == ""
+    assert err == f"error: --kind {kind} holds only at alpha = 1, got 0.3\n"
+    config = tmp_path / "bounds.cfg"
+    config.write_text(f"kind={kind}\nalpha=0.5\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "bounds", "--two-n", two_n)
+    assert code == 2 and out == ""
+    assert err == f"error: --kind {kind} holds only at alpha = 1, got 0.5\n"
+    # an explicit alpha = 1 still runs
+    assert run_cli(capsys, "bounds", "--kind", kind, "--two-n", two_n, "--alpha", "1")[0] == 0
 
 
 def test_bounds_rejects_odd_two_n(capsys):
@@ -159,7 +196,7 @@ GOLDEN_UNITARY_ROUTES = [
       "7,3,1,1.1591788669167506,0.079589433458375353,singular"]),
     (("negativity", "--family", "--n", "6", "--alpha", "0.75", "--k", "2"),
      ["n_plus_1,k,alpha,m_value,n_value,method",
-      "6,2,0.75,1.125,0.0625,eigen"]),
+      "6,2,0.75,1.125,0.0625,singular"]),
     (("trace", "--random", "--n", "6", "--seed", "2", "--epsilon", "0.1"),
      ["n_plus_1=6", "alpha=1", "epsilon=0.10000000000000001", "p_error=0.01", "seed=2",
       "runs_used=1199", "estimate_re=-0.0075062552126772307",
@@ -259,6 +296,18 @@ def test_oversized_register_refused_before_building(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and calls == []
     assert err == "error: register of 15 qubits exceeds the cap of 14\n"
+
+
+def test_negativity_bad_method_refused_before_building(capsys, monkeypatch, tmp_path):
+    import dqc1.ensemble
+    calls = []
+    _refuse_call(monkeypatch, dqc1.ensemble, "pseudo_random_unitary", calls)
+    config = tmp_path / "run.cfg"
+    config.write_text("method=bogus\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "negativity", "--random",
+                             "--n", "12")
+    assert code == 2 and out == "" and calls == []
+    assert err == "error: method must be eigen or singular, got 'bogus'\n"
 
 
 def test_family_verify_refused_above_dense_cap(capsys, monkeypatch):

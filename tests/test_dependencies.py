@@ -13,7 +13,7 @@ sys.modules["scipy"] = None
 import numpy as np
 import dqc1
 from dqc1.cli import main
-from dqc1.state import build_state, reconstruct_mixture, separable_decomposition
+from dqc1.state import build_state, separable_decomposition
 for argv in (["negativity", "--family", "--n", "3"],
              ["sweep", "--nplus1", "4", "--samples", "2"],
              ["bounds", "--kind", "s12", "--two-n", "8"],
@@ -21,7 +21,9 @@ for argv in (["negativity", "--family", "--n", "3"],
              ["family-verify", "--n", "3"]):
     assert main(argv) == 0, argv
 st = build_state(np.diag([1, 1j, -1, 1j]), 0.5)
-assert np.max(np.abs(reconstruct_mixture(separable_decomposition(st)) - st.rho)) <= 1e-12
+rho = sum(w * np.outer(np.kron(a, e), np.kron(a, e).conj())
+          for w, a, e in separable_decomposition(st))
+assert np.max(np.abs(rho - st.rho)) <= 1e-12
 """
 
 

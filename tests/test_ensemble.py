@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from dqc1.ensemble import (RandomCircuitParams, default_samples, half_split_k,
-                           mixing_operator, negativity_sweep,
-                           pseudo_random_unitary, random_su2, su2_rotation,
-                           sweep_csv)
+from dqc1.ensemble import (RandomCircuitParams, _mixing_phases, default_samples,
+                           half_split_k, negativity_sweep, pseudo_random_unitary,
+                           random_su2, su2_rotation, sweep_csv)
 from dqc1.family import build_family
 from dqc1.linalg import Bipartition, unitary_defect
 from dqc1.negativity import negativity_eigen, negativity_singular
@@ -78,7 +77,7 @@ GOLDEN_SHA256_BY_SIZE = {
 def dense_layer_unitary(params, sample_index=0):
     """Oracle: the same circuit with every layer formed as a dense N x N Kronecker product."""
     rng = philox_stream(params.seed, sample_index)
-    mix = np.diag(mixing_operator(params.n))[:, None]
+    mix = _mixing_phases(params.n)[:, None]
     u = None
     for _ in range(params.j):
         layer = np.eye(1, dtype=np.complex128)
@@ -123,15 +122,14 @@ def test_random_su2_theta_marginal():
 
 
 def test_mixing_operator_single_qubit():
-    assert np.array_equal(mixing_operator(1), np.eye(2))
+    assert np.array_equal(np.diag(_mixing_phases(1)), np.eye(2))
 
 
 def test_mixing_operator_two_qubit_phases():
-    m = mixing_operator(2)
-    assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
-    assert abs(m[0, 0] - np.exp(1j * math.pi / 4)) <= 1e-15   # |00>
-    assert abs(m[1, 1] - np.exp(-1j * math.pi / 4)) <= 1e-15  # |01>
-    assert unitary_defect(m) <= 1e-12
+    phases = _mixing_phases(2)
+    assert abs(phases[0] - np.exp(1j * math.pi / 4)) <= 1e-15   # |00>
+    assert abs(phases[1] - np.exp(-1j * math.pi / 4)) <= 1e-15  # |01>
+    assert unitary_defect(np.diag(phases)) <= 1e-12
 
 
 def test_pseudo_random_unitary_is_unitary():

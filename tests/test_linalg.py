@@ -4,26 +4,9 @@ import pytest
 from conftest import haar_unitary, random_density
 from dqc1.linalg import (Bipartition, _nonzero_blocks, hermitian_eigenvalues, load_unitary,
                          partial_transpose, require_density, require_unitary, save_unitary,
-                         singular_values, tensor_product, unitary_defect)
+                         singular_values, unitary_defect)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def test_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_diagonal():
-    assert np.array_equal(tensor_product(Z, Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-
-def test_tensor_entry_placement():
-    # X on the most significant qubit, |0><0| on the least
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    m = tensor_product(X, p0)
-    assert m[2, 0] == 1
-    assert np.count_nonzero(m) == 2
 
 
 def test_partial_transpose_identity_invariant():

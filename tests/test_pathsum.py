@@ -9,9 +9,10 @@ from dqc1.family import circuit_family
 from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, PathBudgetError,
                           PathPolynomials, T, TOFFOLI, circuit_unitary,
                           compile_circuit, dense_trace, exact_trace_enumeration,
-                          format_circuit, gate_matrix, hadamard_bracket,
+                          format_circuit, hadamard_bracket,
                           load_circuit, parse_circuit, path_class_counts,
                           prepare_circuit, sampled_trace, trace_by_counting)
+from oracles import gate_matrix
 
 
 def random_circuit(n, n_gates, mode, rng):

@@ -9,8 +9,8 @@ import dqc1.state
 from dqc1.family import build_family
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
 from dqc1.state import (build_state, estimate_trace, pauli_expectations,
-                        reconstruct_mixture, runs_required, separable_ball_alpha,
-                        separable_decomposition)
+                        runs_required, separable_ball_alpha, separable_decomposition)
+from oracles import reconstruct_mixture
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
