@@ -11,6 +11,7 @@ whose X/Y readout on qubit 0 encodes tr(U)/2**n.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +23,12 @@ from .rng import philox_stream
 
 # estimator runs per observable: the largest L Generator.binomial takes (int64)
 MAX_TRACE_RUNS = 2**62
+
+try:  # glibc's malloc_trim; other C libraries keep freed heap as before
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,24 @@ class Dqc1State:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        """The block state [[I, alpha U^dag], [alpha U, I]] / 2N."""
+        """The block state [[I, alpha U^dag], [alpha U, I]] / 2N.
+
+        Written block by block into one array, with no N x N temporaries.
+        Free heap is handed back to the OS first: glibc keeps the freed
+        temporaries of building and checking U resident, in a layout that
+        depends on every earlier allocation, and rho, its partial transpose
+        and the eigensolver's copy would otherwise peak beside them or on top
+        of them, up to 10 MiB apart from one run of the same state to the next.
+        """
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
         big_n = 2**self.n
-        rho = np.empty((2 * big_n, 2 * big_n), dtype=np.complex128)
-        rho[:big_n, :big_n] = np.eye(big_n)
-        rho[big_n:, big_n:] = np.eye(big_n)
-        rho[:big_n, big_n:] = self.alpha * self.unitary.conj().T
-        rho[big_n:, :big_n] = self.alpha * self.unitary
+        rho = np.zeros((2 * big_n, 2 * big_n), dtype=np.complex128)
+        np.fill_diagonal(rho, 1.0)
+        upper, lower = rho[:big_n, big_n:], rho[big_n:, :big_n]
+        np.conjugate(self.unitary.T, out=upper)
+        upper *= self.alpha
+        np.multiply(self.unitary, self.alpha, out=lower)
         rho /= 2 * big_n
         return rho
 

@@ -28,6 +28,21 @@ def test_build_state_block_form():
     assert hermitian_eigenvalues(st.rho)[-1] >= -1e-10
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.37, -0.5, 0.0])
+def test_rho_assembled_in_place_trims_heap_once(monkeypatch, alpha):
+    trims = []
+    monkeypatch.setattr(dqc1.state, "_MALLOC_TRIM", trims.append)
+    u = haar_unitary(16, np.random.default_rng(2))
+    st = build_state(u, alpha)
+    expected = np.block([[np.eye(16), alpha * u.conj().T],
+                         [alpha * u, np.eye(16)]]) / 32
+    # bit for bit, signed zeros included
+    assert np.array_equal(st.rho.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(np.signbit(st.rho.view(np.float64)),
+                          np.signbit(expected.view(np.float64)))
+    assert st.rho is st.rho and trims == [0]
+
+
 def test_build_state_identity_polarized():
     st = build_state(np.eye(2, dtype=complex), 1.0)
     assert pauli_expectations(st) == (1.0, 0.0)
