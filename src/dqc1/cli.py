@@ -5,10 +5,12 @@ CSV (or key=value report lines for `trace`), written to stdout or --output.
 Given identical flags and seeds the emitted bytes are identical across runs
 at a fixed BLAS thread count (the last digits of both spectrum routes and of
 the random unitary product change with it); floats are fixed at 17
-significant digits with no locale formatting.  Flag
-values override an optional key=value --config file, which overrides built-in
-defaults.  Thread count is controlled only through the BLAS environment
-variables (e.g. OMP_NUM_THREADS).
+significant digits with no locale formatting.  Flag values override an
+optional key=value --config file, which overrides built-in defaults.  A
+setting counts as given when its value differs from its default, and each
+route refuses every given setting it does not read (ROUTE_READS) before any
+work.  Thread count is controlled only through the BLAS environment variables
+(e.g. OMP_NUM_THREADS).
 """
 
 from __future__ import annotations
@@ -26,8 +28,27 @@ from .negativity import negativity_eigen, negativity_singular
 from .state import build_state, estimate_trace, require_register
 
 
+# The settings each route reads besides the flags that name it.
+ROUTE_READS = {
+    "negativity": {"--family": "n alpha k method", "--random": "n alpha k method seed",
+                   "--file": "n alpha k method"},
+    "trace": {"--family": "n alpha epsilon p_error seed",
+              "--random": "n alpha epsilon p_error seed",
+              "--file": "n alpha epsilon p_error seed",
+              "--pathsum": "mode exact", "--pathsum --samples": "mode seed"},
+    "sweep": {"--nplus1": "split samples seed", "--range": "split samples seed",
+              "--nplus1 --all-splits": "samples seed", "--range --all-splits": "samples seed"},
+    "bounds": {"--kind s12": "two_n alpha", "--kind s123": "two_n", "--kind asymptote": "two_n"},
+}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _pair(name: str, z: complex) -> list[str]:
+    return [f"{name}_re={_fmt(z.real)}", f"{name}_im={_fmt(z.imag)}"]
 
 
 def _parse_range(text: str) -> list[int]:
@@ -71,11 +92,23 @@ def _resolve(args: argparse.Namespace, config: dict[str, str],
         elif key in config:
             raw = config[key]
             caster = (casts or {}).get(key, type(default) if default is not None else str)
-            out[key] = raw if caster is str else (raw.lower() in ("1", "true", "yes")
-                                                  if caster is bool else caster(raw))
+            if caster is bool and raw.lower() not in _BOOLEANS:
+                raise ValueError(f"config key {key} takes 1/0, true/false or yes/no, got {raw!r}")
+            out[key] = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
         else:
             out[key] = default
     return out
+
+
+def _refuse_unread(command: str, route: str, cfg: dict, defaults: dict) -> None:
+    """Refuse, in one line, every given setting outside the flags naming ``route``
+    and its ROUTE_READS entry (the rule in the module docstring)."""
+    reads = {flag[2:].replace("-", "_") for flag in route.split() if flag.startswith("--")}
+    reads.update(ROUTE_READS[command][route].split())
+    unread = [f"--{key.replace('_', '-')}" for key, default in defaults.items()
+              if key not in reads and cfg[key] != default]
+    if unread:
+        raise ValueError(f"{route} does not read {', '.join(unread)}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -86,15 +119,16 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_unitary(cfg: dict) -> tuple[np.ndarray, int]:
+def _resolve_unitary(command: str, cfg: dict, defaults: dict) -> tuple[np.ndarray, int]:
     """Unitary and total qubit count from --family/--random/--file settings.
 
-    The register cap is checked from --n before a family or random U is built.
+    Unread settings and the register cap (from --n) are checked before U is built.
     """
     sources = [s for s in ("family", "random", "file") if cfg.get(s)]
     if len(sources) != 1:
         raise ValueError("choose exactly one of --family, --random, --file")
     source = sources[0]
+    _refuse_unread(command, f"--{source}", cfg, defaults)
     if source == "file":
         u = load_unitary(cfg["file"])
         n = num_qubits(u)
@@ -119,7 +153,7 @@ def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
     routes = {"eigen": negativity_eigen, "singular": negativity_singular}
     if cfg["method"] not in routes:
         raise ValueError(f"method must be eigen or singular, got {cfg['method']!r}")
-    u, n_plus_1 = _resolve_unitary(cfg)
+    u, n_plus_1 = _resolve_unitary("negativity", cfg, defaults)
     state = build_state(u, cfg["alpha"])
     part = Bipartition.trailing(n_plus_1, cfg["k"])
     res = routes[cfg["method"]](state, part)
@@ -133,17 +167,17 @@ def cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> str:
     defaults = {"range": None, "nplus1": None, "split": "half", "all_splits": False,
                 "samples": None, "seed": 0}
     cfg = _resolve(args, config, defaults, casts={"nplus1": int, "samples": int})
-    if cfg["nplus1"] is not None:
-        sizes = [cfg["nplus1"]]
-    elif cfg["range"]:
-        sizes = _parse_range(cfg["range"])
-    else:
+    if cfg["nplus1"] is None and not cfg["range"]:
         raise ValueError("sweep needs --range or --nplus1")
-    if cfg["all_splits"] and cfg["split"] not in ("half", "all"):
-        raise ValueError(f"--all-splits conflicts with --split {cfg['split']}")
+    route = "--nplus1" if cfg["nplus1"] is not None else "--range"
+    _refuse_unread("sweep", route + " --all-splits" * cfg["all_splits"], cfg, defaults)
+    sizes = [cfg["nplus1"]] if cfg["nplus1"] is not None else _parse_range(cfg["range"])
     split = "all" if cfg["all_splits"] else cfg["split"]
     if split not in ("half", "all"):
-        split = int(split)
+        try:
+            split = int(split)
+        except ValueError:
+            raise ValueError(f"--split must be half, all or an integer k, got {split!r}") from None
     stats = ensemble.negativity_sweep(sizes, split=split, samples=cfg["samples"],
                                       seed=cfg["seed"])
     return ensemble.sweep_csv(stats)
@@ -154,8 +188,9 @@ def cmd_bounds(args: argparse.Namespace, config: dict[str, str]) -> str:
     cfg = _resolve(args, config, defaults)  # two_n stays a string ("8" or "8..78")
     if not cfg["two_n"]:
         raise ValueError("bounds needs --two-n")
-    if cfg["kind"] in ("s123", "asymptote") and cfg["alpha"] != 1:
-        raise ValueError(f"--kind {cfg['kind']} holds only at alpha = 1, got {cfg['alpha']!r}")
+    if cfg["kind"] not in ("s12", "s123", "asymptote"):
+        raise ValueError(f"kind must be s12, s123, or asymptote, got {cfg['kind']!r}")
+    _refuse_unread("bounds", f"--kind {cfg['kind']}", cfg, defaults)
     values = _parse_range(cfg["two_n"])
     if len(values) > 1:
         values = [v for v in values if v % 2 == 0]  # a 2N range steps by 2
@@ -168,11 +203,9 @@ def cmd_bounds(args: argparse.Namespace, config: dict[str, str]) -> str:
             results.extend(bounds_mod.bound_s12(big_n, cfg["alpha"]))
         elif cfg["kind"] == "s123":
             results.append(bounds_mod.bound_s123(big_n))
-        elif cfg["kind"] == "asymptote":
+        else:
             results.append(bounds_mod.BoundResult(
                 two_n, 1.0, bounds_mod.bound_s123_asymptotic(big_n), "s123_asymptotic"))
-        else:
-            raise ValueError(f"kind must be s12, s123, or asymptote, got {cfg['kind']!r}")
     return bounds_mod.bounds_csv(results)
 
 
@@ -181,53 +214,31 @@ def cmd_trace(args: argparse.Namespace, config: dict[str, str]) -> str:
                 "alpha": 1.0, "epsilon": 0.05, "p_error": 0.01, "seed": 0,
                 "pathsum": None, "mode": "toffoli", "exact": False, "samples": None}
     cfg = _resolve(args, config, defaults, casts={"n": int, "samples": int})
-    lines = []
     if cfg["pathsum"]:
-        unitary_flags = [f"--{key}" for key in ("family", "random", "file", "n")
-                         if cfg[key] != defaults[key]]
-        if unitary_flags:
-            raise ValueError(f"--pathsum conflicts with {', '.join(unitary_flags)}")
-        if cfg["exact"] and cfg["samples"] is not None:
-            raise ValueError("--exact conflicts with --samples")
+        sampled = cfg["samples"] is not None
+        _refuse_unread("trace", "--pathsum --samples" if sampled else "--pathsum", cfg, defaults)
         circuit = pathsum.load_circuit(cfg["pathsum"])
         prepared = pathsum.prepare_circuit(circuit, cfg["mode"])
         poly = pathsum.compile_circuit(prepared)
-        lines.append(f"qubits={circuit.n}")
-        lines.append(f"mode={cfg['mode']}")
-        lines.append(f"path_bits={poly.n_path_bits}")
-        if cfg["samples"] is None:
-            exact = pathsum.exact_trace_enumeration(poly)
-            counted = pathsum.trace_by_counting(poly)
-            lines.append(f"trace_re={_fmt(exact.real)}")
-            lines.append(f"trace_im={_fmt(exact.imag)}")
-            lines.append(f"counting_re={_fmt(counted.real)}")
-            lines.append(f"counting_im={_fmt(counted.imag)}")
+        lines = [f"qubits={circuit.n}", f"mode={cfg['mode']}", f"path_bits={poly.n_path_bits}"]
+        if not sampled:
+            lines += _pair("trace", pathsum.exact_trace_enumeration(poly))
+            lines += _pair("counting", pathsum.trace_by_counting(poly))
             if circuit.n <= pathsum.DENSE_TRACE_MAX_QUBITS:
-                dense = pathsum.dense_trace(circuit)
-                lines.append(f"dense_re={_fmt(dense.real)}")
-                lines.append(f"dense_im={_fmt(dense.imag)}")
+                lines += _pair("dense", pathsum.dense_trace(circuit))
         else:
             est, stderr = pathsum.sampled_trace(poly, cfg["samples"], cfg["seed"])
-            lines.append(f"samples={cfg['samples']}")
-            lines.append(f"seed={cfg['seed']}")
-            lines.append(f"normalized_estimate_re={_fmt(est.real)}")
-            lines.append(f"normalized_estimate_im={_fmt(est.imag)}")
-            lines.append(f"stderr={_fmt(stderr)}")
+            lines += [f"samples={cfg['samples']}", f"seed={cfg['seed']}",
+                      *_pair("normalized_estimate", est), f"stderr={_fmt(stderr)}"]
         return "\n".join(lines) + "\n"
-    u, n_plus_1 = _resolve_unitary(cfg)
-    result = estimate_trace(u, cfg["alpha"], cfg["epsilon"], cfg["p_error"], cfg["seed"])
-    true = complex(np.trace(u)) / u.shape[0]
-    lines += [f"n_plus_1={n_plus_1}",
-              f"alpha={_fmt(cfg['alpha'])}",
-              f"epsilon={_fmt(cfg['epsilon'])}",
-              f"p_error={_fmt(cfg['p_error'])}",
-              f"seed={cfg['seed']}",
-              f"runs_used={result.runs_used}",
-              f"estimate_re={_fmt(result.estimate.real)}",
-              f"estimate_im={_fmt(result.estimate.imag)}",
-              f"true_re={_fmt(true.real)}",
-              f"true_im={_fmt(true.imag)}",
-              f"abs_error={_fmt(abs(result.estimate - true))}"]
+    u, n_plus_1 = _resolve_unitary("trace", cfg, defaults)
+    tau = build_state(u, cfg["alpha"]).tau  # the one check of U, and its one trace
+    result = estimate_trace(tau, cfg["alpha"], cfg["epsilon"], cfg["p_error"], cfg["seed"])
+    lines = [f"n_plus_1={n_plus_1}", f"alpha={_fmt(cfg['alpha'])}",
+             f"epsilon={_fmt(cfg['epsilon'])}", f"p_error={_fmt(cfg['p_error'])}",
+             f"seed={cfg['seed']}", f"runs_used={result.runs_used}",
+             *_pair("estimate", result.estimate), *_pair("true", tau),
+             f"abs_error={_fmt(abs(result.estimate - tau))}"]
     return "\n".join(lines) + "\n"
 
 

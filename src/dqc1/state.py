@@ -47,6 +47,11 @@ class Dqc1State:
     def total_qubits(self) -> int:
         return self.n + 1
 
+    @property
+    def tau(self) -> complex:
+        """The normalized trace tr(U)/2**n, all the special qubit's readout carries."""
+        return complex(np.trace(self.unitary)) / 2**self.n
+
     @cached_property
     def rho(self) -> np.ndarray:
         """The block state [[I, alpha U^dag], [alpha U, I]] / 2N.
@@ -77,9 +82,6 @@ class TraceEstimate:
 
     estimate: complex
     runs_used: int
-    epsilon: float
-    p_error: float
-    seed: int
 
 
 def require_register(total_qubits: int) -> None:
@@ -113,16 +115,14 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
 
 
 def pauli_expectations(state: Dqc1State) -> tuple[float, float]:
-    """(<X>, <Y>) of the special qubit, read from tr(U) directly.
+    """(<X>, <Y>) of the special qubit, read from tau = tr(U)/N; see :func:`_readout`."""
+    return _readout(state.tau, state.alpha)
 
-    <X> = tr(rho (X (x) I)) = alpha Re tr(U)/N.  The second value is
-    -alpha Im tr(U)/N = -tr(rho (Y (x) I)) for the standard
-    Y = [[0, -i], [i, 0]], i.e. the expectation of -Y, so that
-    <X> - i<Y> = alpha tr(U)/N.
-    """
-    big_n = 2**state.n
-    tr_u = complex(np.trace(state.unitary))
-    return state.alpha * tr_u.real / big_n, -state.alpha * tr_u.imag / big_n
+
+def _readout(tau: complex, alpha: float) -> tuple[float, float]:
+    """(<X>, <Y>) = (alpha Re tau, -alpha Im tau): <X> = tr(rho (X (x) I)), and the
+    second is -tr(rho (Y (x) I)) for Y = [[0, -i], [i, 0]], so <X> - i<Y> = alpha tau."""
+    return alpha * tau.real, -alpha * tau.imag
 
 
 def runs_required(alpha: float, epsilon: float, p_error: float) -> int | float:
@@ -133,23 +133,22 @@ def runs_required(alpha: float, epsilon: float, p_error: float) -> int | float:
     return math.ceil(runs) if math.isfinite(runs) else runs
 
 
-def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
+def estimate_trace(tau: complex, alpha: float, epsilon: float, p_error: float,
                    seed: int) -> TraceEstimate:
-    """Simulate the repeated-measurement estimate of tr(U)/2**n.
+    """Simulate the repeated-measurement estimate of tau = tr(U)/2**n.
 
-    Runs L = ceil(2 ln(4/p_error) / (alpha*epsilon)**2) independent circuits
-    for X and another L for Y.  Each run draws an outcome of +-1 with
-    p(+1) = (1 + <X>)/2 (resp. <Y>); the estimate is (mean_X - i mean_Y)/alpha.
-    Only the count c of +1 outcomes is kept, the estimator's sufficient
-    statistic: c ~ Binomial(L, p), drawn once per observable, and
-    mean = (2c - L)/L.  p is clipped to [0, 1], since a U inside the unitarity
-    tolerance can put |<X>| a hair above 1.
+    The protocol reads U only through tau, so the caller checks U (by
+    :func:`build_state`).  Runs L = ceil(2 ln(4/p_error) / (alpha*epsilon)**2)
+    independent circuits for X and another L for Y.  Each run draws an outcome
+    of +-1 with p(+1) = (1 + <X>)/2 (resp. <Y>), the readout of tau; the
+    estimate is (mean_X - i mean_Y)/alpha.  Only the count c of +1 outcomes is
+    kept, the estimator's sufficient statistic: c ~ Binomial(L, p), drawn once
+    per observable, and mean = (2c - L)/L.  p is clipped to [0, 1], since a U
+    inside the unitarity tolerance can put |<X>| a hair above 1.
 
     Deterministic given ``seed``: a single Philox stream keyed (seed, 0)
-    draws the X count, then the Y count.  L above MAX_TRACE_RUNS per
-    observable is refused before any state is built or any number drawn, so
-    alpha is checked first; U is checked by :func:`build_state`, and the two
-    expectations are those of :func:`pauli_expectations`.
+    draws the X count, then the Y count.  alpha is checked first, and L above
+    MAX_TRACE_RUNS per observable is refused before any number is drawn.
     """
     if alpha == 0:
         raise ValueError("alpha = 0 carries no trace signal")
@@ -162,13 +161,12 @@ def estimate_trace(u: np.ndarray, alpha: float, epsilon: float, p_error: float,
     if runs > MAX_TRACE_RUNS:
         raise ValueError(f"estimator needs {runs:.3g} runs per observable; "
                          f"the cap is {MAX_TRACE_RUNS}")
-    mean_x, mean_y = pauli_expectations(build_state(u, alpha))
+    mean_x, mean_y = _readout(tau, alpha)
     rng = philox_stream(seed, 0)
     p_x, p_y = np.clip([(1 + mean_x) / 2, (1 + mean_y) / 2], 0.0, 1.0)
     count_x, count_y = int(rng.binomial(runs, p_x)), int(rng.binomial(runs, p_y))
     est = complex((2 * count_x - runs) / runs, -((2 * count_y - runs) / runs)) / alpha
-    return TraceEstimate(estimate=est, runs_used=runs, epsilon=epsilon,
-                         p_error=p_error, seed=seed)
+    return TraceEstimate(estimate=est, runs_used=runs)
 
 
 def _unit_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
-from dqc1.cli import main
+from dqc1.cli import ROUTE_READS, main
 from dqc1.linalg import save_unitary
 from dqc1.pathsum import CNOT, GateCircuit, H, T, TOFFOLI, save_circuit
 
@@ -91,7 +91,7 @@ def test_sweep_all_splits_with_split_refused(capsys):
     code, out, err = run_cli(capsys, "sweep", "--nplus1", "4", "--split", "2",
                              "--all-splits", "--samples", "2")
     assert code == 2 and out == ""
-    assert err == "error: --all-splits conflicts with --split 2\n"
+    assert err == "error: --nplus1 --all-splits does not read --split\n"
 
 
 def test_bounds_s12_sweep(capsys):
@@ -125,12 +125,12 @@ def test_bounds_alpha_one_kinds_refuse_other_alpha(capsys, tmp_path, kind, two_n
     code, out, err = run_cli(capsys, "bounds", "--kind", kind, "--two-n", two_n,
                              "--alpha", "0.3")
     assert code == 2 and out == ""
-    assert err == f"error: --kind {kind} holds only at alpha = 1, got 0.3\n"
+    assert err == f"error: --kind {kind} does not read --alpha\n"
     config = tmp_path / "bounds.cfg"
     config.write_text(f"kind={kind}\nalpha=0.5\n")
     code, out, err = run_cli(capsys, "--config", str(config), "bounds", "--two-n", two_n)
     assert code == 2 and out == ""
-    assert err == f"error: --kind {kind} holds only at alpha = 1, got 0.5\n"
+    assert err == f"error: --kind {kind} does not read --alpha\n"
     # an explicit alpha = 1 still runs
     assert run_cli(capsys, "bounds", "--kind", kind, "--two-n", two_n, "--alpha", "1")[0] == 0
 
@@ -230,7 +230,7 @@ def test_trace_pathsum_exact_with_samples_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, "trace", "--pathsum", str(path), "--mode", "t_gate",
                              "--exact", "--samples", "100")
     assert code == 2 and out == ""
-    assert err == "error: --exact conflicts with --samples\n"
+    assert err == "error: --pathsum --samples does not read --exact\n"
 
 
 def test_trace_pathsum_with_unitary_source_refused(capsys, tmp_path):
@@ -239,13 +239,157 @@ def test_trace_pathsum_with_unitary_source_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, "trace", "--pathsum", str(path), "--random", "--n", "3",
                              "--exact")
     assert code == 2 and out == ""
-    assert err == "error: --pathsum conflicts with --random, --n\n"
+    assert err == "error: --pathsum does not read --random, --n\n"
     # the settings are checked after the config file is merged in
     config = tmp_path / "run.cfg"
     config.write_text("family=true\n")
     code, out, err = run_cli(capsys, "--config", str(config), "trace", "--pathsum", str(path))
     assert code == 2 and out == ""
-    assert err == "error: --pathsum conflicts with --family\n"
+    assert err == "error: --pathsum does not read --family\n"
+
+
+# (argv, settings the route does not read, expected error): each case is run
+# with the settings as flags and again from --config
+UNREAD_CASES = [
+    (("trace", "--pathsum", "{circuit}", "--mode", "t_gate"), {"alpha": "0.5"},
+     "--pathsum does not read --alpha"),
+    (("trace", "--pathsum", "{circuit}", "--mode", "t_gate", "--exact"), {"epsilon": "0.01"},
+     "--pathsum does not read --epsilon"),
+    (("trace", "--pathsum", "{circuit}", "--samples", "50"), {"p_error": "0.1"},
+     "--pathsum --samples does not read --p-error"),
+    (("trace", "--pathsum", "{circuit}", "--mode", "t_gate"),
+     {"alpha": "0.5", "epsilon": "0.01", "p_error": "0.1", "seed": "7"},
+     "--pathsum does not read --alpha, --epsilon, --p-error, --seed"),
+    (("trace", "--pathsum", "{circuit}", "--exact"), {"seed": "7"},
+     "--pathsum does not read --seed"),
+    (("trace", "--random", "--n", "3"), {"mode": "t_gate"}, "--random does not read --mode"),
+    (("trace", "--family", "--n", "3"), {"exact": "true"}, "--family does not read --exact"),
+    (("trace", "--file", "{unitary}"), {"samples": "10"}, "--file does not read --samples"),
+    (("trace", "--random", "--n", "3"), {"mode": "t_gate", "exact": "true", "samples": "10"},
+     "--random does not read --mode, --exact, --samples"),
+    (("negativity", "--family", "--n", "3"), {"seed": "5"}, "--family does not read --seed"),
+    (("negativity", "--file", "{unitary}"), {"seed": "5"}, "--file does not read --seed"),
+    (("sweep", "--nplus1", "4", "--samples", "2"), {"range": "5..6"},
+     "--nplus1 does not read --range"),
+    (("sweep", "--nplus1", "4", "--samples", "2"), {"range": "5..6", "all_splits": "true",
+                                                    "split": "2"},
+     "--nplus1 --all-splits does not read --range, --split"),
+]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    circuit, unitary = tmp_path / "c.txt", tmp_path / "u.mat"
+    save_circuit(circuit, GateCircuit(2, (H(0), T(0), CNOT(0, 1))))
+    save_unitary(unitary, haar_unitary(4, np.random.default_rng(5)))
+    return {"circuit": str(circuit), "unitary": str(unitary)}
+
+
+def _refuse_work(monkeypatch, calls):
+    import dqc1.cli
+    import dqc1.ensemble
+    import dqc1.family
+    import dqc1.pathsum
+    for module, name in ((dqc1.ensemble, "pseudo_random_unitary"),
+                         (dqc1.ensemble, "negativity_sweep"), (dqc1.family, "build_family"),
+                         (dqc1.cli, "load_unitary"), (dqc1.pathsum, "load_circuit")):
+        _refuse_call(monkeypatch, module, name, calls)
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("argv,unread,expected", UNREAD_CASES)
+def test_route_refuses_settings_it_does_not_read(capsys, monkeypatch, tmp_path, inputs,
+                                                 via, argv, unread, expected):
+    argv = [arg.format(**inputs) for arg in argv]
+    if via == "flags":
+        for key, value in unread.items():
+            argv += [f"--{key.replace('_', '-')}"] + ([] if value == "true" else [value])
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in unread.items()))
+        argv = ["--config", str(config), *argv]
+    calls = []
+    _refuse_work(monkeypatch, calls)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("negativity", "--family", "--n", "3", "--seed", "0"),
+    ("trace", "--pathsum", "{circuit}", "--mode", "t_gate", "--alpha", "1", "--epsilon",
+     "0.05", "--p-error", "0.01", "--seed", "0"),
+    ("trace", "--random", "--n", "3", "--mode", "toffoli"),
+    ("sweep", "--nplus1", "3", "--samples", "2", "--all-splits", "--split", "half"),
+    ("bounds", "--kind", "asymptote", "--two-n", "8", "--alpha", "1.0"),
+])
+def test_setting_at_its_default_still_runs(capsys, inputs, argv):
+    code, _, err = run_cli(capsys, *(arg.format(**inputs) for arg in argv))
+    assert code == 0 and err == ""
+
+
+# every route and the settings it reads, as README.md's route table states them
+ROUTE_TABLE = {
+    ("negativity", "--family"): "family n alpha k method",
+    ("negativity", "--random"): "random n alpha k method seed",
+    ("negativity", "--file"): "file n alpha k method",
+    ("trace", "--family"): "family n alpha epsilon p_error seed",
+    ("trace", "--random"): "random n alpha epsilon p_error seed",
+    ("trace", "--file"): "file n alpha epsilon p_error seed",
+    ("trace", "--pathsum"): "pathsum mode exact",
+    ("trace", "--pathsum --samples"): "pathsum mode samples seed",
+    ("sweep", "--nplus1"): "nplus1 split samples seed",
+    ("sweep", "--range"): "range split samples seed",
+    ("sweep", "--nplus1 --all-splits"): "nplus1 all_splits samples seed",
+    ("sweep", "--range --all-splits"): "range all_splits samples seed",
+    ("bounds", "--kind s12"): "kind two_n alpha",
+    ("bounds", "--kind s123"): "kind two_n",
+    ("bounds", "--kind asymptote"): "kind two_n",
+}
+# a value off the default for every setting; None marks a switch
+OFF_DEFAULT = {"family": None, "random": None, "n": "3", "alpha": "0.5", "k": "2",
+               "method": "eigen", "seed": "4", "epsilon": "0.2", "p_error": "0.05",
+               "mode": "t_gate", "exact": None, "samples": "50", "nplus1": "3",
+               "range": "3..4", "split": "1", "all_splits": None, "two_n": "8"}
+
+
+def test_route_table_names_every_route():
+    assert set(ROUTE_TABLE) == {(c, r) for c, routes in ROUTE_READS.items() for r in routes}
+
+
+@pytest.mark.parametrize("command,route", list(ROUTE_TABLE))
+def test_route_accepts_every_setting_it_reads(capsys, inputs, command, route):
+    # each setting the route reads, moved off its default at once
+    values = {**OFF_DEFAULT, "file": inputs["unitary"], "pathsum": inputs["circuit"],
+              "kind": route.split()[-1]}
+    argv = [command]
+    for key in ROUTE_TABLE[command, route].split():
+        argv += [f"--{key.replace('_', '-')}"] + ([] if values[key] is None else [values[key]])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == "", argv
+
+
+def test_config_booleans_take_six_spellings_in_any_case(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    for value, splits in (("YES", 3), ("True", 3), ("1", 3), ("no", 1), ("FALSE", 1),
+                          ("0", 1)):
+        config.write_text(f"all_splits={value}\n")
+        code, out, _ = run_cli(capsys, "--config", str(config), "sweep", "--nplus1", "4",
+                               "--samples", "2")
+        assert code == 0 and len(out.strip().split("\n")) == 1 + splits, value
+    config.write_text("all_splits=on\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "sweep", "--nplus1", "4",
+                             "--samples", "2")
+    assert code == 2 and out == ""
+    assert err == "error: config key all_splits takes 1/0, true/false or yes/no, got 'on'\n"
+
+
+@pytest.mark.parametrize("split", ["foo", "2.0", ""])
+def test_sweep_split_not_an_integer_names_the_flag(capsys, split):
+    code, out, err = run_cli(capsys, "sweep", "--nplus1", "4", "--samples", "2",
+                             "--split", split)
+    assert code == 2 and out == ""
+    assert err == f"error: --split must be half, all or an integer k, got {split!r}\n"
 
 
 def test_family_verify(capsys):

@@ -16,6 +16,10 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
 
+def _tau(u: np.ndarray) -> complex:
+    return complex(np.trace(u)) / len(u)
+
+
 def test_build_state_block_form():
     rng = np.random.default_rng(0)
     u = haar_unitary(8, rng)
@@ -104,7 +108,7 @@ def test_pauli_expectations_linear_in_alpha():
 def test_estimate_trace_identity():
     # p(+1) = 1 for the X batch, so its mean is exactly 1; the Y batch is a
     # fair coin (zero mean signal) and only adds statistical noise
-    est = estimate_trace(np.eye(4, dtype=complex), 1.0, 0.1, 0.01, seed=0)
+    est = estimate_trace(_tau(np.eye(4, dtype=complex)), 1.0, 0.1, 0.01, seed=0)
     assert est.estimate.real == 1.0
     assert abs(est.estimate.imag) <= 4 / math.sqrt(est.runs_used)
 
@@ -112,7 +116,7 @@ def test_estimate_trace_identity():
 def test_estimate_trace_zero_trace_unitary():
     u = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     within = sum(
-        abs(estimate_trace(u, 1.0, 0.05, 0.01, seed=s).estimate) <= 0.05
+        abs(estimate_trace(_tau(u), 1.0, 0.05, 0.01, seed=s).estimate) <= 0.05
         for s in range(200))
     assert within >= 198
 
@@ -121,35 +125,35 @@ def test_runs_scale_inverse_alpha_squared():
     p_e = 4 * math.exp(-2)  # ln(4/p_e) = 2, so L(alpha=1, eps=0.1) = 400 exactly
     assert runs_required(1.0, 0.1, p_e) == 400
     assert runs_required(0.1, 0.1, p_e) == 40000
-    est1 = estimate_trace(np.eye(2, dtype=complex), 1.0, 0.1, p_e, seed=1)
-    est2 = estimate_trace(np.eye(2, dtype=complex), 0.1, 0.1, p_e, seed=1)
+    est1 = estimate_trace(1.0, 1.0, 0.1, p_e, seed=1)
+    est2 = estimate_trace(1.0, 0.1, 0.1, p_e, seed=1)
     assert est2.runs_used == 100 * est1.runs_used
 
 
 def test_estimate_trace_deterministic_per_seed():
     rng = np.random.default_rng(3)
-    u = haar_unitary(4, rng)
-    a = estimate_trace(u, 0.8, 0.2, 0.1, seed=9)
-    b = estimate_trace(u, 0.8, 0.2, 0.1, seed=9)
+    tau = _tau(haar_unitary(4, rng))
+    a = estimate_trace(tau, 0.8, 0.2, 0.1, seed=9)
+    b = estimate_trace(tau, 0.8, 0.2, 0.1, seed=9)
     assert a.estimate == b.estimate
-    assert a.estimate != estimate_trace(u, 0.8, 0.2, 0.1, seed=10).estimate
+    assert a.estimate != estimate_trace(tau, 0.8, 0.2, 0.1, seed=10).estimate
 
 
 def test_estimate_trace_rejections():
-    u = np.eye(2, dtype=complex)
+    # a non-unitary U is refused by build_state, before tau exists
+    # (test_non_finite_unitary_file_rejected[trace] runs that through the CLI)
+    tau = 1.0
     with pytest.raises(ValueError, match="alpha"):
-        estimate_trace(u, 0.0, 0.1, 0.1, seed=0)
+        estimate_trace(tau, 0.0, 0.1, 0.1, seed=0)
     with pytest.raises(ValueError, match="epsilon"):
-        estimate_trace(u, 1.0, 1.5, 0.1, seed=0)
+        estimate_trace(tau, 1.0, 1.5, 0.1, seed=0)
     with pytest.raises(ValueError, match="p_error"):
-        estimate_trace(u, 1.0, 0.1, 0.0, seed=0)
-    with pytest.raises(ValueError, match="unitary"):
-        estimate_trace(np.ones((2, 2), dtype=complex), 1.0, 0.1, 0.1, seed=0)
+        estimate_trace(tau, 1.0, 0.1, 0.0, seed=0)
     for alpha in (1.5, math.nan):
         with pytest.raises(ValueError, match="polarization"):
-            estimate_trace(u, alpha, 0.1, 0.1, seed=0)
+            estimate_trace(tau, alpha, 0.1, 0.1, seed=0)
     with pytest.raises(ValueError, match="polarization"):  # before the run cap
-        estimate_trace(u, 1.5, 1e-6, 0.1, seed=0)
+        estimate_trace(tau, 1.5, 1e-6, 0.1, seed=0)
 
 
 def _refuse_draws_and_state(monkeypatch):
@@ -160,15 +164,15 @@ def _refuse_draws_and_state(monkeypatch):
 
 
 def test_estimate_trace_run_cap_boundary(monkeypatch):
-    u = np.eye(2, dtype=complex)
+    tau = 1.0
     runs = runs_required(0.5, 0.2, 0.1)
     monkeypatch.setattr(dqc1.state, "MAX_TRACE_RUNS", runs)
-    assert estimate_trace(u, 0.5, 0.2, 0.1, seed=0).runs_used == runs
+    assert estimate_trace(tau, 0.5, 0.2, 0.1, seed=0).runs_used == runs
     monkeypatch.setattr(dqc1.state, "MAX_TRACE_RUNS", runs - 1)
     _refuse_draws_and_state(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(f"needs {runs:.3g} runs per observable; "
                                                    f"the cap is {runs - 1}")):
-        estimate_trace(u, 0.5, 0.2, 0.1, seed=0)
+        estimate_trace(tau, 0.5, 0.2, 0.1, seed=0)
 
 
 def test_estimate_trace_refuses_over_run_cap(monkeypatch):
@@ -176,7 +180,7 @@ def test_estimate_trace_refuses_over_run_cap(monkeypatch):
     runs = runs_required(0.25, 1e-9, 1e-6)
     assert runs > dqc1.state.MAX_TRACE_RUNS == 2**62
     with pytest.raises(ValueError, match=re.escape(f"needs {runs:.3g} runs per observable")):
-        estimate_trace(np.eye(2, dtype=complex), 0.25, 1e-9, 1e-6, seed=0)
+        estimate_trace(1.0, 0.25, 1e-9, 1e-6, seed=0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -185,7 +189,7 @@ def test_estimate_trace_clips_probability_inside_unitarity_tolerance(sign):
     u = sign * (1 + 4e-11) * np.eye(2, dtype=complex)
     assert sign * pauli_expectations(build_state(u, 1.0))[0] > 1
     for seed in range(5):
-        assert estimate_trace(u, 1.0, 0.05, 0.01, seed).estimate.real == sign * 1.0
+        assert estimate_trace(_tau(u), 1.0, 0.05, 0.01, seed).estimate.real == sign * 1.0
 
 
 def test_estimator_variance_matches_binomial():
@@ -197,7 +201,7 @@ def test_estimator_variance_matches_binomial():
     alpha, epsilon, p_error = 0.6, 0.3, 0.1
     runs = runs_required(alpha, epsilon, p_error)
     expectations = pauli_expectations(build_state(u, alpha))
-    estimates = np.array([estimate_trace(u, alpha, epsilon, p_error, seed).estimate
+    estimates = np.array([estimate_trace(_tau(u), alpha, epsilon, p_error, seed).estimate
                           for seed in range(4000)])
     for sample, mean in zip((estimates.real, estimates.imag), expectations):
         expected = (1 - mean**2) / (runs * alpha**2)
@@ -218,7 +222,7 @@ def test_partially_transposed_state_is_exactly_hermitian():
 def test_estimator_unbiased():
     u = np.diag([1.0, 1j]).astype(complex)
     true = complex(np.trace(u)) / 2
-    estimates = np.array([estimate_trace(u, 1.0, 0.3, 0.5, seed=s).estimate
+    estimates = np.array([estimate_trace(true, 1.0, 0.3, 0.5, seed=s).estimate
                           for s in range(10_000)])
     sigma = estimates.std() / math.sqrt(len(estimates))
     assert abs(estimates.mean() - true) <= 3 * sigma
