@@ -9,7 +9,8 @@ significant digits with no locale formatting.  Flag values override an
 optional key=value --config file, which overrides built-in defaults.  A
 setting counts as given when its value differs from its default, and each
 route refuses every given setting it does not read (ROUTE_READS) before any
-work.  Thread count is controlled only through the BLAS environment variables
+work.  Every refusal, a malformed flag included, is one ``error:`` line and
+exit status 2.  Thread count is controlled only through the BLAS environment variables
 (e.g. OMP_NUM_THREADS).
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from . import bounds as bounds_mod
 from . import ensemble, family, pathsum
 from .linalg import Bipartition, load_unitary, num_qubits
 from .negativity import negativity_eigen, negativity_singular
-from .state import build_state, estimate_trace, require_register
+from .state import (build_state, estimate_trace, estimator_runs, require_polarization,
+                    require_register)
 
 
 # The settings each route reads besides the flags that name it.
@@ -51,15 +54,16 @@ def _pair(name: str, z: complex) -> list[str]:
     return [f"{name}_re={_fmt(z.real)}", f"{name}_im={_fmt(z.imag)}"]
 
 
-def _parse_range(text: str) -> list[int]:
-    """'5..9' -> [5..9]; '7' -> [7]."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> list[int]:
+    """'5..9' -> [5..9]; '7' -> [7]; ``flag`` names the setting in errors."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"{flag} must be N or LO..HI, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -119,10 +123,12 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_unitary(command: str, cfg: dict, defaults: dict) -> tuple[np.ndarray, int]:
-    """Unitary and total qubit count from --family/--random/--file settings.
+def _unitary_source(command: str, cfg: dict,
+                    defaults: dict) -> tuple[int, Callable[[], np.ndarray]]:
+    """Total qubit count, and a builder of U, from --family/--random/--file settings.
 
-    Unread settings and the register cap (from --n) are checked before U is built.
+    Unread settings and the register cap are checked, and a --file is read for
+    its count, so the caller can check its own settings before U is built.
     """
     sources = [s for s in ("family", "random", "file") if cfg.get(s)]
     if len(sources) != 1:
@@ -134,16 +140,16 @@ def _resolve_unitary(command: str, cfg: dict, defaults: dict) -> tuple[np.ndarra
         n = num_qubits(u)
         if cfg.get("n") is not None and cfg["n"] != n + 1:
             raise ValueError(f"--n {cfg['n']} does not match file dimension 2**{n}")
-        return u, n + 1
+        return n + 1, lambda: u
     if cfg.get("n") is None:
         raise ValueError(f"--{source} requires --n")
     n_plus_1 = cfg["n"]
     require_register(n_plus_1)
     n = n_plus_1 - 1
     if source == "family":
-        return family.build_family(n), n_plus_1
+        return n_plus_1, lambda: family.build_family(n)
     params = ensemble.RandomCircuitParams(n=n, seed=cfg["seed"])
-    return ensemble.pseudo_random_unitary(params), n_plus_1
+    return n_plus_1, lambda: ensemble.pseudo_random_unitary(params)
 
 
 def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
@@ -153,10 +159,10 @@ def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
     routes = {"eigen": negativity_eigen, "singular": negativity_singular}
     if cfg["method"] not in routes:
         raise ValueError(f"method must be eigen or singular, got {cfg['method']!r}")
-    u, n_plus_1 = _resolve_unitary("negativity", cfg, defaults)
-    state = build_state(u, cfg["alpha"])
+    n_plus_1, build_u = _unitary_source("negativity", cfg, defaults)
+    require_polarization(cfg["alpha"])
     part = Bipartition.trailing(n_plus_1, cfg["k"])
-    res = routes[cfg["method"]](state, part)
+    res = routes[cfg["method"]](build_state(build_u(), cfg["alpha"]), part)
     rows = ["n_plus_1,k,alpha,m_value,n_value,method",
             f"{n_plus_1},{cfg['k']},{_fmt(cfg['alpha'])},{_fmt(res.m_value)},"
             f"{_fmt(res.n_value)},{res.method}"]
@@ -171,7 +177,8 @@ def cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> str:
         raise ValueError("sweep needs --range or --nplus1")
     route = "--nplus1" if cfg["nplus1"] is not None else "--range"
     _refuse_unread("sweep", route + " --all-splits" * cfg["all_splits"], cfg, defaults)
-    sizes = [cfg["nplus1"]] if cfg["nplus1"] is not None else _parse_range(cfg["range"])
+    sizes = ([cfg["nplus1"]] if cfg["nplus1"] is not None
+             else _parse_range(cfg["range"], "--range"))
     split = "all" if cfg["all_splits"] else cfg["split"]
     if split not in ("half", "all"):
         try:
@@ -191,7 +198,7 @@ def cmd_bounds(args: argparse.Namespace, config: dict[str, str]) -> str:
     if cfg["kind"] not in ("s12", "s123", "asymptote"):
         raise ValueError(f"kind must be s12, s123, or asymptote, got {cfg['kind']!r}")
     _refuse_unread("bounds", f"--kind {cfg['kind']}", cfg, defaults)
-    values = _parse_range(cfg["two_n"])
+    values = _parse_range(cfg["two_n"], "--two-n")
     if len(values) > 1:
         values = [v for v in values if v % 2 == 0]  # a 2N range steps by 2
     results = []
@@ -231,8 +238,9 @@ def cmd_trace(args: argparse.Namespace, config: dict[str, str]) -> str:
             lines += [f"samples={cfg['samples']}", f"seed={cfg['seed']}",
                       *_pair("normalized_estimate", est), f"stderr={_fmt(stderr)}"]
         return "\n".join(lines) + "\n"
-    u, n_plus_1 = _resolve_unitary("trace", cfg, defaults)
-    tau = build_state(u, cfg["alpha"]).tau  # the one check of U, and its one trace
+    n_plus_1, build_u = _unitary_source("trace", cfg, defaults)
+    estimator_runs(cfg["alpha"], cfg["epsilon"], cfg["p_error"])
+    tau = build_state(build_u(), cfg["alpha"]).tau  # the one check of U, and its one trace
     result = estimate_trace(tau, cfg["alpha"], cfg["epsilon"], cfg["p_error"], cfg["seed"])
     lines = [f"n_plus_1={n_plus_1}", f"alpha={_fmt(cfg['alpha'])}",
              f"epsilon={_fmt(cfg['epsilon'])}", f"p_error={_fmt(cfg['p_error'])}",
@@ -257,8 +265,15 @@ def cmd_family_verify(args: argparse.Namespace, config: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, so ``main`` prints each on one ``error:`` line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dqc1",
         description="One-clean-qubit circuit simulation, negativity, bounds, and path sums")
     parser.add_argument("--config", help="key=value settings file (flags take precedence)")
@@ -324,8 +339,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = _load_config(args.config)
         text = args.func(args, config)
         _emit(text, args.output)

@@ -106,11 +106,11 @@ def unitary_defect(u: np.ndarray) -> float:
     return float(np.max(defects))  # np.max, unlike max, keeps a NaN
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     u = as_complex_matrix(u)
     defect = unitary_defect(u)
-    if not defect <= tol:
-        raise ValueError(f"matrix is not unitary: max|U^dag U - I| = {defect:.3e} > {tol:g}")
+    if not defect <= UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary: max|U^dag U - I| = {defect:.3e} > {UNITARY_TOL:g}")
     return u
 
 

@@ -36,14 +36,26 @@ class NegativityResult:
 def negativity_eigen(state: Dqc1State | np.ndarray, part: Bipartition) -> NegativityResult:
     """M and N from the eigenvalues of the partial transpose of a 2N x 2N state.
 
-    A :class:`Dqc1State` is a density matrix by construction (``build_state``
-    checked U and alpha), so its cached ``rho`` is used as it is.  A bare
-    matrix is validated by ``require_density`` first.  The partial transpose
-    only permutes entries, so it is as Hermitian as rho and its spectrum is
-    taken without a further check.
+    A bare matrix is validated by ``require_density`` and transposed.  A
+    :class:`Dqc1State` is a density matrix by construction, and its transpose
+    is written from V = :func:`unpolarized_partial_transpose` into one array,
+    entry for entry as in rho, so bit for bit the partial transpose of rho.
+    A partial transpose only permutes entries, so it is as Hermitian as the
+    state and its spectrum is taken without a further check.
     """
-    rho = state.rho if isinstance(state, Dqc1State) else require_density(state)
-    lam = np.linalg.eigvalsh(partial_transpose(rho, part))[::-1]
+    if not isinstance(state, Dqc1State):
+        rho_pt = partial_transpose(require_density(state), part)
+    else:
+        v = unpolarized_partial_transpose(state, part)
+        big_n = 2**state.n
+        rho_pt = np.zeros((2 * big_n, 2 * big_n), dtype=np.complex128)
+        np.fill_diagonal(rho_pt, 1.0)
+        upper = rho_pt[:big_n, big_n:]
+        np.conjugate(v.T, out=upper)
+        upper *= state.alpha
+        np.multiply(v, state.alpha, out=rho_pt[big_n:, :big_n])
+        rho_pt /= 2 * big_n
+    lam = np.linalg.eigvalsh(rho_pt)[::-1]
     return _from_spectrum(lam, part, "eigen")
 
 
@@ -57,13 +69,21 @@ def _from_spectrum(lam: np.ndarray, part: Bipartition, method: str) -> Negativit
 
 
 def unpolarized_partial_transpose(state: Dqc1State, part: Bipartition) -> np.ndarray:
-    """Partial transpose of U over the unpolarized qubits named by ``part``.
+    """V, the partial transpose of U over the unpolarized qubits named by ``part``.
 
+    The state's partial transpose is then [[I, alpha V^dag], [alpha V, I]] / 2N.
     ``part`` divides the full register; register qubit q >= 1 is qubit q - 1
-    of U.  The transposed part must not contain the special qubit.
+    of U.  If ``part`` contains the special qubit, its complement is used, with
+    a warning: the two partial transposes of the state are each other's full
+    transpose, so they share eigenvalues and singular values.
     """
+    if part.total_qubits != state.total_qubits:
+        raise ValueError(f"bipartition is over {part.total_qubits} qubits, "
+                         f"state has {state.total_qubits}")
     if 0 in part.transposed_part:
-        raise ValueError("transposed part must avoid the special qubit")
+        part = part.complement()
+        warnings.warn("transposed part contains the special qubit; "
+                      "using the complement, which has the same spectrum", stacklevel=3)
     shifted = frozenset(q - 1 for q in part.transposed_part)
     if len(shifted) == state.n:
         return state.unitary.T  # every unpolarized qubit: a plain transpose
@@ -78,21 +98,9 @@ def negativity_singular(state: Dqc1State, part: Bipartition) -> NegativityResult
     of the transposed unitary.  Only the (1 - |alpha| s_j)/2N can be negative;
     as on the eigen route, only those below -NEGATIVE_EIGENVALUE_CUTOFF count,
     so N = sum (|alpha| s_j - 1)/2N over them and a PPT state gives M = 1
-    exactly.  If the requested part contains qubit 0, the complement is used
-    instead (the two partial transposes share eigenvalues and singular values).
-    Only U is read: the 2N x 2N ``state.rho`` is never built.
+    exactly.  Only the N x N transposed U is formed, never a 2N x 2N matrix.
     """
-    if part.total_qubits != state.total_qubits:
-        raise ValueError(f"bipartition is over {part.total_qubits} qubits, "
-                         f"state has {state.total_qubits}")
-    effective = part
-    if 0 in part.transposed_part:
-        effective = part.complement()
-        warnings.warn("transposed part contains the special qubit; "
-                      "using the complement, which has the same spectrum",
-                      stacklevel=2)
-    u_pt = unpolarized_partial_transpose(state, effective)
-    s = singular_values(u_pt)
+    s = singular_values(unpolarized_partial_transpose(state, part))
     return _from_spectrum((1.0 - abs(state.alpha) * s) / 2**(state.n + 1), part, "singular")
 
 

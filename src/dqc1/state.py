@@ -6,15 +6,14 @@ qubit 0 followed by a controlled U on the rest leaves the block state
 
     rho = [[I, alpha*U^dag], [alpha*U, I]] / 2**(n+1),
 
-whose X/Y readout on qubit 0 encodes tr(U)/2**n.
+whose X/Y readout on qubit 0 encodes tr(U)/2**n.  Every quantity the package
+reads from rho follows from (U, alpha), so rho itself is never assembled.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,20 +23,10 @@ from .rng import philox_stream
 # estimator runs per observable: the largest L Generator.binomial takes (int64)
 MAX_TRACE_RUNS = 2**62
 
-try:  # glibc's malloc_trim; other C libraries keep freed heap as before
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
-
 
 @dataclass(frozen=True)
 class Dqc1State:
-    """Output state of the circuit, held as its defining (U, alpha, n).
-
-    The 2N x 2N density matrix ``rho`` is assembled from (U, alpha) on first
-    access and cached; routes that work on U alone never allocate it.
-    """
+    """Output state of the circuit, held as its defining (U, alpha, n)."""
 
     n: int
     alpha: float
@@ -51,29 +40,6 @@ class Dqc1State:
     def tau(self) -> complex:
         """The normalized trace tr(U)/2**n, all the special qubit's readout carries."""
         return complex(np.trace(self.unitary)) / 2**self.n
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        """The block state [[I, alpha U^dag], [alpha U, I]] / 2N.
-
-        Written block by block into one array, with no N x N temporaries.
-        Free heap is handed back to the OS first: glibc keeps the freed
-        temporaries of building and checking U resident, in a layout that
-        depends on every earlier allocation, and rho, its partial transpose
-        and the eigensolver's copy would otherwise peak beside them or on top
-        of them, up to 10 MiB apart from one run of the same state to the next.
-        """
-        if _MALLOC_TRIM is not None:
-            _MALLOC_TRIM(0)
-        big_n = 2**self.n
-        rho = np.zeros((2 * big_n, 2 * big_n), dtype=np.complex128)
-        np.fill_diagonal(rho, 1.0)
-        upper, lower = rho[:big_n, big_n:], rho[big_n:, :big_n]
-        np.conjugate(self.unitary.T, out=upper)
-        upper *= self.alpha
-        np.multiply(self.unitary, self.alpha, out=lower)
-        rho /= 2 * big_n
-        return rho
 
 
 @dataclass(frozen=True)
@@ -93,7 +59,7 @@ def require_register(total_qubits: int) -> None:
         raise ValueError(f"register of {total_qubits} qubits exceeds the cap of {MAX_QUBITS}")
 
 
-def _require_polarization(alpha: float) -> None:
+def require_polarization(alpha: float) -> None:
     """Refuse |alpha| > 1 (or NaN); a scalar check a caller can make before U."""
     if not abs(alpha) <= 1:
         raise ValueError(f"polarization must satisfy |alpha| <= 1, got {alpha}")
@@ -110,7 +76,7 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
     n = num_qubits(u)
     require_register(n + 1)
     u = require_unitary(u)
-    _require_polarization(alpha)
+    require_polarization(alpha)
     return Dqc1State(n=n, alpha=float(alpha), unitary=u)
 
 
@@ -133,6 +99,24 @@ def runs_required(alpha: float, epsilon: float, p_error: float) -> int | float:
     return math.ceil(runs) if math.isfinite(runs) else runs
 
 
+def estimator_runs(alpha: float, epsilon: float, p_error: float) -> int:
+    """Runs per observable L, after refusing, in this order: alpha = 0, epsilon or
+    p_error outside (0, 1), |alpha| > 1, and L above MAX_TRACE_RUNS.  Scalar
+    checks only, so a caller can make them before it builds U."""
+    if alpha == 0:
+        raise ValueError("alpha = 0 carries no trace signal")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not 0 < p_error < 1:
+        raise ValueError(f"p_error must be in (0, 1), got {p_error}")
+    require_polarization(alpha)
+    runs = runs_required(alpha, epsilon, p_error)
+    if runs > MAX_TRACE_RUNS:
+        raise ValueError(f"estimator needs {runs:.3g} runs per observable; "
+                         f"the cap is {MAX_TRACE_RUNS}")
+    return runs
+
+
 def estimate_trace(tau: complex, alpha: float, epsilon: float, p_error: float,
                    seed: int) -> TraceEstimate:
     """Simulate the repeated-measurement estimate of tau = tr(U)/2**n.
@@ -147,20 +131,10 @@ def estimate_trace(tau: complex, alpha: float, epsilon: float, p_error: float,
     inside the unitarity tolerance can put |<X>| a hair above 1.
 
     Deterministic given ``seed``: a single Philox stream keyed (seed, 0)
-    draws the X count, then the Y count.  alpha is checked first, and L above
-    MAX_TRACE_RUNS per observable is refused before any number is drawn.
+    draws the X count, then the Y count.  The settings are checked by
+    :func:`estimator_runs` before any number is drawn.
     """
-    if alpha == 0:
-        raise ValueError("alpha = 0 carries no trace signal")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < p_error < 1:
-        raise ValueError(f"p_error must be in (0, 1), got {p_error}")
-    _require_polarization(alpha)
-    runs = runs_required(alpha, epsilon, p_error)
-    if runs > MAX_TRACE_RUNS:
-        raise ValueError(f"estimator needs {runs:.3g} runs per observable; "
-                         f"the cap is {MAX_TRACE_RUNS}")
+    runs = estimator_runs(alpha, epsilon, p_error)
     mean_x, mean_y = _readout(tau, alpha)
     rng = philox_stream(seed, 0)
     p_x, p_y = np.clip([(1 + mean_x) / 2, (1 + mean_y) / 2], 0.0, 1.0)

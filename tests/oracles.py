@@ -8,6 +8,7 @@ import numpy as np
 
 from dqc1.bounds import SpectrumSolution, _triple_solutions
 from dqc1.pathsum import _H_MAT, _T_MAT, Gate, _flipped_rows
+from dqc1.state import Dqc1State
 
 ROOT_DEDUPE_TOL = 1e-8
 
@@ -27,6 +28,13 @@ def gate_matrix(g: Gate, n: int) -> np.ndarray:
     m = np.zeros((2**n, 2**n), dtype=np.complex128)
     m[_flipped_rows(g, n), np.arange(2**n)] = 1.0
     return m
+
+
+def rho_of(state: Dqc1State) -> np.ndarray:
+    """The block state [[I, alpha U^dag], [alpha U, I]] / 2N of ``state``."""
+    u, alpha = state.unitary, state.alpha
+    eye = np.eye(len(u))
+    return np.block([[eye, alpha * u.conj().T], [alpha * u, eye]]) / (2 * len(u))
 
 
 def reconstruct_mixture(terms: list[tuple[float, np.ndarray, np.ndarray]]) -> np.ndarray:

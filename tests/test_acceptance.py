@@ -20,6 +20,7 @@ from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, T, TOFFOLI,
                           exact_trace_enumeration, prepare_circuit,
                           trace_by_counting)
 from dqc1.state import build_state, estimate_trace, runs_required
+from oracles import rho_of
 
 
 def report(label: str, condition: bool, detail: str = ""):
@@ -31,12 +32,12 @@ def test_criterion_01_family_negativity_all_splits():
     t0 = time.time()
     worst = 0.0
     for n in range(2, 9):
-        state = build_state(build_family(n), 1.0)
+        rho = rho_of(build_state(build_family(n), 1.0))
         for k in range(1, n + 1):
             part = Bipartition.trailing(n + 1, k)
             expected = 1.25 if k < n else 1.0  # k < n separates qubits 1 and n
             analytic = family_negativity(n, 1.0, part)
-            numeric = negativity_eigen(state.rho, part).m_value
+            numeric = negativity_eigen(rho, part).m_value
             worst = max(worst, abs(analytic - expected), abs(numeric - expected))
     elapsed = time.time() - t0
     report("1 family negativity", worst <= 1e-9 and elapsed < 60,
@@ -50,7 +51,7 @@ def test_criterion_02_family_alpha_profile():
     for alpha, state in state_cache.items():
         expected = 1.0 if alpha <= 0.5 else (2 * alpha + 3) / 4
         worst = max(worst, abs(family_negativity(3, alpha, part) - expected),
-                    abs(negativity_eigen(state.rho, part).m_value - expected))
+                    abs(negativity_eigen(rho_of(state), part).m_value - expected))
     report("2 family alpha profile", worst <= 1e-9, f"worst deviation = {worst:.2e}")
 
 
@@ -60,9 +61,10 @@ def test_criterion_03_method_equivalence():
     for i in range(50):
         n = 2 + i % 5  # n = 2..6
         state = build_state(haar_unitary(2**n, rng), float(rng.uniform(0, 1)))
+        rho = rho_of(state)
         for k in range(1, n + 1):
             part = Bipartition.trailing(n + 1, k)
-            gap = abs(negativity_eigen(state.rho, part).m_value
+            gap = abs(negativity_eigen(rho, part).m_value
                       - negativity_singular(state, part).m_value)
             worst = max(worst, gap)
     report("3 eigen/singular equivalence", worst <= 1e-9, f"worst gap = {worst:.2e}")
@@ -74,7 +76,7 @@ def test_criterion_04_special_qubit_separability():
     for i in range(50):
         n = 1 + i % 7  # n = 1..7
         state = build_state(haar_unitary(2**n, rng), 1.0)
-        m = negativity_eigen(state.rho, Bipartition.trailing(n + 1, n)).m_value
+        m = negativity_eigen(rho_of(state), Bipartition.trailing(n + 1, n)).m_value
         worst = max(worst, abs(m - 1.0))
     report("4 special qubit unentangled", worst <= 1e-10, f"worst |M - 1| = {worst:.2e}")
 
@@ -147,7 +149,7 @@ def test_criterion_07_bound_universality():
         state = build_state(haar_unitary(2**n, rng), alpha)
         size = int(rng.integers(1, n + 1))
         part = Bipartition(n + 1, frozenset(rng.choice(n + 1, size=size, replace=False).tolist()))
-        m = negativity_eigen(state.rho, part).m_value
+        m = negativity_eigen(rho_of(state), part).m_value
         _, integer = bound_s12(2**n, alpha)
         worst = max(worst, m - integer.bound)
     report("7 bound holds for all (U, split, alpha)", worst <= 1e-9,

@@ -454,6 +454,80 @@ def test_negativity_bad_method_refused_before_building(capsys, monkeypatch, tmp_
     assert err == "error: method must be eigen or singular, got 'bogus'\n"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("negativity", "--random", "--n", "11", "--k", "20"),
+     "trailing split size k=20 out of range for 11 qubits"),
+    (("negativity", "--family", "--n", "11", "--k", "0"),
+     "trailing split size k=0 out of range for 11 qubits"),
+    (("negativity", "--random", "--n", "11", "--k", "2", "--alpha", "2"),
+     "polarization must satisfy |alpha| <= 1, got 2.0"),
+    (("negativity", "--file", "{unitary}", "--k", "3"),
+     "trailing split size k=3 out of range for 3 qubits"),
+    (("trace", "--random", "--n", "11", "--epsilon", "2"), "epsilon must be in (0, 1), got 2.0"),
+    (("trace", "--family", "--n", "11", "--alpha", "0"), "alpha = 0 carries no trace signal"),
+    (("trace", "--random", "--n", "11", "--p-error", "1"), "p_error must be in (0, 1), got 1.0"),
+    (("trace", "--random", "--n", "11", "--alpha", "-1.5"),
+     "polarization must satisfy |alpha| <= 1, got -1.5"),
+    (("trace", "--random", "--n", "11", "--epsilon", "1e-100"),
+     "estimator needs 1.2e+201 runs per observable; the cap is 4611686018427387904"),
+    (("trace", "--file", "{unitary}", "--epsilon", "0"), "epsilon must be in (0, 1), got 0.0"),
+])
+def test_scalar_settings_refused_before_unitary_is_built(capsys, monkeypatch, inputs,
+                                                         argv, expected):
+    import dqc1.cli
+    import dqc1.ensemble
+    import dqc1.family
+    calls = []
+    _refuse_call(monkeypatch, dqc1.ensemble, "pseudo_random_unitary", calls)
+    _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    _refuse_call(monkeypatch, dqc1.cli, "build_state", calls)
+    code, out, err = run_cli(capsys, *(arg.format(**inputs) for arg in argv))
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("negativity", "--random", "--n", "3", "--bogus"), "unrecognized arguments: --bogus"),
+    (("negativity", "--random", "--n", "3", "--k", "x"), "argument --k: invalid int value: 'x'"),
+    (("negativity", "--random", "--n", "3", "--method", "bogus"),
+     "argument --method: invalid choice: 'bogus'"),
+    (("sweep", "--samples"), "argument --samples: expected one argument"),
+    (("nonsense",), "argument command: invalid choice: 'nonsense'"),
+    ((), "the following arguments are required: command"),
+])
+def test_argument_errors_take_one_error_line(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["negativity", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: dqc1 negativity")
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (("sweep", "--samples", "2", "--range"), "--range", "5.."),
+    (("sweep", "--samples", "2", "--range"), "--range", "x..7"),
+    (("bounds", "--two-n"), "--two-n", "abc"),
+    (("bounds", "--two-n"), "--two-n", "8..x"),
+])
+def test_malformed_range_names_the_flag(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be N or LO..HI, got {value!r}\n"
+
+
+def test_malformed_range_from_config_names_the_flag(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("range=5..\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "sweep", "--samples", "2")
+    assert code == 2 and out == ""
+    assert err == "error: --range must be N or LO..HI, got '5..'\n"
+
+
 def test_family_verify_refused_above_dense_cap(capsys, monkeypatch):
     import dqc1.family
     import dqc1.pathsum
@@ -552,16 +626,9 @@ def test_repeated_commands_in_one_process(capsys, tmp_path):
              ("sweep", "--split", "half", "--bogus")]
 
     def one_pass():
-        results = []
-        for argv in argvs:
-            try:
-                results.append(run_cli(capsys, *argv))
-            except SystemExit as exc:
-                captured = capsys.readouterr()
-                results.append((exc.code, captured.out, captured.err))
-        return results
+        return [run_cli(capsys, *argv) for argv in argvs]
 
     first = one_pass()
     assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 2]
-    assert first[-1][2].startswith("usage: dqc1")
+    assert first[-1][1:] == ("", "error: unrecognized arguments: --bogus\n")
     assert one_pass() == first

@@ -23,7 +23,9 @@ for argv in (["negativity", "--family", "--n", "3"],
 st = build_state(np.diag([1, 1j, -1, 1j]), 0.5)
 rho = sum(w * np.outer(np.kron(a, e), np.kron(a, e).conj())
           for w, a, e in separable_decomposition(st))
-assert np.max(np.abs(rho - st.rho)) <= 1e-12
+u = st.unitary
+block = np.block([[np.eye(4), 0.5 * u.conj().T], [0.5 * u, np.eye(4)]]) / 8
+assert np.max(np.abs(rho - block)) <= 1e-12
 """
 
 

@@ -12,6 +12,7 @@ from dqc1.linalg import Bipartition, unitary_defect
 from dqc1.negativity import negativity_eigen, negativity_singular
 from dqc1.rng import philox_stream
 from dqc1.state import build_state
+from oracles import rho_of
 
 # frozen from a reference run: pseudo_random_unitary(n=3, j=40, seed=7)
 GOLDEN_SHA256 = "3ff7e06c179a8030b62072fb87e20036c011aec95370af65944e2c99384ef627"
@@ -195,14 +196,14 @@ def test_singular_route_reports_ppt_exactly():
     part = Bipartition.trailing(2, 1)
     for index in (1, 3, 7, 9):
         state = build_state(pseudo_random_unitary(RandomCircuitParams(n=1, seed=0), index), 1.0)
-        for res in (negativity_singular(state, part), negativity_eigen(state.rho, part)):
+        for res in (negativity_singular(state, part), negativity_eigen(rho_of(state), part)):
             assert res.m_value == 1.0 and res.n_value == 0.0 and res.is_ppt
     # transposing every unpolarized qubit of the family state leaves it PPT
     for n in (2, 3, 5):
         state = build_state(build_family(n), 1.0)
         part = Bipartition.trailing(n + 1, n)
         assert negativity_singular(state, part).m_value == 1.0
-        assert negativity_eigen(state.rho, part).m_value == 1.0
+        assert negativity_eigen(rho_of(state), part).m_value == 1.0
 
 
 def test_sweep_matches_eigen_recomputation():
@@ -212,7 +213,7 @@ def test_sweep_matches_eigen_recomputation():
         unitaries = [pseudo_random_unitary(RandomCircuitParams(n=n_plus_1 - 1, seed=seed), i)
                      for i in range(samples)]
         for s in stats:
-            values = [negativity_eigen(build_state(u, 1.0).rho, s.partition).m_value
+            values = [negativity_eigen(rho_of(build_state(u, 1.0)), s.partition).m_value
                       for u in unitaries]
             mean = math.fsum(values) / samples
             std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (samples - 1))

