@@ -54,8 +54,9 @@ def _pair(name: str, z: complex) -> list[str]:
     return [f"{name}_re={_fmt(z.real)}", f"{name}_im={_fmt(z.imag)}"]
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
-    """'5..9' -> [5..9]; '7' -> [7]; ``flag`` names the setting in errors."""
+def _parse_range(text: str, flag: str) -> range:
+    """'5..9' -> range(5, 10); '7' -> range(7, 8); ``flag`` names the setting in
+    errors.  A range, not a list, so a huge span costs nothing until it is read."""
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if dots else lo)
@@ -63,7 +64,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be N or LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -127,7 +128,7 @@ def _unitary_source(command: str, cfg: dict,
                     defaults: dict) -> tuple[int, Callable[[], np.ndarray]]:
     """Total qubit count, and a builder of U, from --family/--random/--file settings.
 
-    Unread settings and the register cap are checked, and a --file is read for
+    Unread settings and the register size are checked, and a --file is read for
     its count, so the caller can check its own settings before U is built.
     """
     sources = [s for s in ("family", "random", "file") if cfg.get(s)]
@@ -144,6 +145,8 @@ def _unitary_source(command: str, cfg: dict,
     if cfg.get("n") is None:
         raise ValueError(f"--{source} requires --n")
     n_plus_1 = cfg["n"]
+    if source == "family" and n_plus_1 < 3:
+        raise ValueError(f"--family needs --n >= 3, got {n_plus_1}")
     require_register(n_plus_1)
     n = n_plus_1 - 1
     if source == "family":

@@ -179,8 +179,6 @@ def negativity_sweep(n_plus_1_values: Iterable[int],
     """
     plan = []
     for n_plus_1 in n_plus_1_values:
-        if n_plus_1 < 2:
-            raise ValueError(f"need at least 2 qubits, got {n_plus_1}")
         require_register(n_plus_1)
         plan.append((n_plus_1, _resolve_ks(n_plus_1, split)))
     if samples is not None and samples < 2:

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Bipartition, as_complex_matrix, max_abs
+from .linalg import as_complex_matrix, max_abs
 from .pathsum import CNOT, GateCircuit, H, T, Gate
 
 BLOCK_IDENTITY_TOL = 1e-12
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class U2Blocks:
-    """The four equal-size blocks of a seed unitary [[a, c], [d, b]]."""
+    """The four equal-size blocks of a seed unitary [[a, c], [d, b]], compared
+    and hashed by identity, as their arrays have no single truth value."""
 
     a: np.ndarray
     b: np.ndarray
@@ -103,25 +104,3 @@ def circuit_family(n: int) -> GateCircuit:
         raise ValueError(f"family needs n >= 2, got {n}")
     fan_out = tuple(CNOT(0, q) for q in range(1, n - 1))
     return GateCircuit(n, fan_out + _u2_gates(0, n - 1) + tuple(reversed(fan_out)))
-
-
-def qubits_1_and_n_together(n: int, part: Bipartition) -> bool:
-    """Whether register qubits 1 and n land in the same side of the division."""
-    if part.total_qubits != n + 1:
-        raise ValueError(f"bipartition is over {part.total_qubits} qubits, expected {n + 1}")
-    return (1 in part.transposed_part) == (n in part.transposed_part)
-
-
-def family_negativity(n: int, alpha: float, part: Bipartition) -> float:
-    """Closed-form negativity of the canonical family's output state.
-
-    Divisions grouping register qubits 1 and n give 1; divisions separating
-    them give max(1, (2 alpha + 3)/4), independent of n.
-    """
-    if n < 2:
-        raise ValueError(f"family needs n >= 2, got {n}")
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if qubits_1_and_n_together(n, part):
-        return 1.0
-    return max(1.0, (2.0 * alpha + 3.0) / 4.0)

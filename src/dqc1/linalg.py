@@ -212,15 +212,6 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([*found, zeros]))[::-1]
 
 
-def save_unitary(path, u: np.ndarray) -> None:
-    """Write a matrix in the plain-text format read by :func:`load_unitary`."""
-    u = as_complex_matrix(u)
-    with open(path, "w") as fh:
-        fh.write(f"{u.shape[0]}\n")
-        for row in u:
-            fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
-
-
 def load_unitary(path) -> np.ndarray:
     """Read a matrix: line 1 is the dimension, then one line of re,im tokens per row.
 

@@ -102,17 +102,3 @@ def negativity_singular(state: Dqc1State, part: Bipartition) -> NegativityResult
     """
     s = singular_values(unpolarized_partial_transpose(state, part))
     return _from_spectrum((1.0 - abs(state.alpha) * s) / 2**(state.n + 1), part, "singular")
-
-
-def pure_state_negativity(schmidt: np.ndarray) -> float:
-    """M of a bipartite pure state from its Schmidt coefficients mu_j.
-
-    Equals (sum_j sqrt(mu_j))**2, which is bounded by the number of nonzero
-    coefficients and saturates it exactly for the maximally entangled state.
-    """
-    mu = np.asarray(schmidt, dtype=float)
-    if mu.size == 0 or np.any(mu < 0):
-        raise ValueError("Schmidt coefficients must be nonnegative")
-    if abs(mu.sum() - 1.0) > 1e-12:
-        raise ValueError(f"Schmidt coefficients must sum to 1, got {mu.sum():.15g}")
-    return float(np.sqrt(mu).sum() ** 2)

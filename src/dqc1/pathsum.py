@@ -93,12 +93,6 @@ def _check_qubits(g: Gate, n: int) -> None:
         raise ValueError(f"gate {g.name} {g.qubits} addresses a qubit outside 0..{n - 1}")
 
 
-def format_circuit(c: GateCircuit) -> str:
-    lines = [f"qubits {c.n}"]
-    lines += [" ".join([g.name, *map(str, g.qubits)]) for g in c.gates]
-    return "\n".join(lines) + "\n"
-
-
 def parse_circuit(text: str) -> GateCircuit:
     """Parse the one-gate-per-line format; errors carry the offending line number."""
     lines = text.splitlines()
@@ -133,11 +127,6 @@ def load_circuit(path) -> GateCircuit:
         return parse_circuit(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_circuit(path, c: GateCircuit) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_circuit(c))
 
 
 # ---------------------------------------------------------------------------

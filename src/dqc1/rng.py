@@ -14,5 +14,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for the given (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    """Generator for the given (seed, stream) pair, each taken mod 2**64 exactly:
+    a uint64 key, since a plain list would hold values >= 2**63 as float64."""
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

@@ -8,6 +8,9 @@ qubit 0 followed by a controlled U on the rest leaves the block state
 
 whose X/Y readout on qubit 0 encodes tr(U)/2**n.  Every quantity the package
 reads from rho follows from (U, alpha), so rho itself is never assembled.
+For every U, rho is a mixture of product states across the cut between qubit 0
+and the rest, so qubit 0 alone is never entangled; that decomposition and the
+separable-ball thresholds are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from .rng import philox_stream
 MAX_TRACE_RUNS = 2**62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dqc1State:
-    """Output state of the circuit, held as its defining (U, alpha, n)."""
+    """Output state of the circuit, held as its defining (U, alpha, n).
+
+    Compared and hashed by identity: a field-wise ``==`` on the unitary array
+    has no single truth value.
+    """
 
     n: int
     alpha: float
@@ -51,10 +58,12 @@ class TraceEstimate:
 
 
 def require_register(total_qubits: int) -> None:
-    """Refuse a register of more than MAX_QUBITS qubits.
+    """Refuse a register of fewer than 2 or more than MAX_QUBITS qubits.
 
-    Takes the qubit count alone, so a caller can refuse before it builds U.
+    Takes the qubit count n + 1 alone, so a caller can refuse before it builds U.
     """
+    if total_qubits < 2:
+        raise ValueError(f"register needs at least 2 qubits, got {total_qubits}")
     if total_qubits > MAX_QUBITS:
         raise ValueError(f"register of {total_qubits} qubits exceeds the cap of {MAX_QUBITS}")
 
@@ -78,11 +87,6 @@ def build_state(u: np.ndarray, alpha: float) -> Dqc1State:
     u = require_unitary(u)
     require_polarization(alpha)
     return Dqc1State(n=n, alpha=float(alpha), unitary=u)
-
-
-def pauli_expectations(state: Dqc1State) -> tuple[float, float]:
-    """(<X>, <Y>) of the special qubit, read from tau = tr(U)/N; see :func:`_readout`."""
-    return _readout(state.tau, state.alpha)
 
 
 def _readout(tau: complex, alpha: float) -> tuple[float, float]:
@@ -141,56 +145,3 @@ def estimate_trace(tau: complex, alpha: float, epsilon: float, p_error: float,
     count_x, count_y = int(rng.binomial(runs, p_x)), int(rng.binomial(runs, p_y))
     est = complex((2 * count_x - runs) / runs, -((2 * count_y - runs) / runs)) / alpha
     return TraceEstimate(estimate=est, runs_used=runs)
-
-
-def _unit_eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvalues and an orthonormal eigenbasis (columns) of the unitary ``u``.
-
-    eigh of the Hermitian Cayley transform K = i(z+U)(z-U)^-1 keeps U's
-    eigenspaces, degenerate ones included, with an orthonormal basis, which
-    np.linalg.eig does not guarantee.  z, halfway along the widest gap between
-    U's eigenphases, lies ~pi/N or more from the spectrum.
-    """
-    angles = np.sort(np.angle(np.linalg.eigvals(u)))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    widest = int(np.argmax(gaps))
-    z_eye = np.exp(1j * (angles[widest] + gaps[widest] / 2)) * np.eye(len(u))
-    k = 1j * np.linalg.solve(z_eye - u, z_eye + u)
-    _, q = np.linalg.eigh((k + k.conj().T) / 2)
-    phases = np.einsum("ij,ij->j", q.conj(), u @ q)
-    return phases / np.abs(phases), q
-
-
-def separable_decomposition(state: Dqc1State) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Write the state as a mixture of product states across the (special, rest) cut.
-
-    Diagonalizing U = sum_j e^{i phi_j} |e_j><e_j| gives terms
-    (1/2N, |a_j>, |e_j>) and (1/2N, |b_j>, |e_j>) with
-    |a_j> = cos(theta)|0> + e^{i phi_j} sin(theta)|1>,
-    |b_j> = sin(theta)|0> + e^{i phi_j} cos(theta)|1>, and sin(2 theta) = alpha.
-    The weighted mixture reconstructs rho; this is why the special qubit is
-    never entangled with the rest, whatever U is.
-    """
-    big_n = 2**state.n
-    theta = math.asin(state.alpha) / 2
-    phases, q = _unit_eigenbasis(state.unitary)
-    terms = []
-    for j in range(big_n):
-        e, phase = q[:, j], phases[j]
-        a = np.array([math.cos(theta), phase * math.sin(theta)], dtype=np.complex128)
-        b = np.array([math.sin(theta), phase * math.cos(theta)], dtype=np.complex128)
-        terms.append((1.0 / (2 * big_n), a, e))
-        terms.append((1.0 / (2 * big_n), b, e))
-    return terms
-
-
-def separable_ball_alpha(n: int) -> tuple[float, float]:
-    """Polarization thresholds placing the state inside balls around I/2**(n+1).
-
-    Returns (lower, upper): below ``lower`` = 2*3**(-(n+1)/2) the state sits in
-    the proven-separable ball; ``upper`` = 2*2**(-(n+1)/2) comes from the known
-    family of entangled states bounding the ball radius from above.
-    """
-    if n < 1:
-        raise ValueError("need at least one unpolarized qubit")
-    return 2.0 * 3.0 ** (-(n + 1) / 2), 2.0 * 2.0 ** (-(n + 1) / 2)

@@ -12,7 +12,7 @@ from conftest import haar_unitary
 from dqc1.bounds import bound_s12, bound_s123, bound_s123_asymptotic
 from dqc1.cli import main as cli_main
 from dqc1.ensemble import negativity_sweep
-from dqc1.family import build_family, family_negativity
+from dqc1.family import build_family
 from dqc1.linalg import Bipartition, partial_transpose
 from dqc1.negativity import negativity_eigen, negativity_singular
 from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, T, TOFFOLI,
@@ -20,7 +20,7 @@ from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, T, TOFFOLI,
                           exact_trace_enumeration, prepare_circuit,
                           trace_by_counting)
 from dqc1.state import build_state, estimate_trace, runs_required
-from oracles import rho_of
+from oracles import family_negativity, rho_of
 
 
 def report(label: str, condition: bool, detail: str = ""):

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import haar_unitary
+from conftest import haar_unitary, save_circuit, save_unitary
 from dqc1.cli import ROUTE_READS, main
-from dqc1.linalg import save_unitary
-from dqc1.pathsum import CNOT, GateCircuit, H, T, TOFFOLI, save_circuit
+from dqc1.pathsum import CNOT, GateCircuit, H, T, TOFFOLI
 
 
 def run_cli(capsys, *argv):
@@ -454,6 +455,19 @@ def test_negativity_bad_method_refused_before_building(capsys, monkeypatch, tmp_
     assert err == "error: method must be eigen or singular, got 'bogus'\n"
 
 
+def test_sweep_range_refused_in_constant_memory(capsys):
+    # sizes are read lazily, so the refusal at 15 costs no list of the whole span
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sweep", "--range", "2..1000000", "--samples", "2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == "error: register of 15 qubits exceeds the cap of 14\n"
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("negativity", "--random", "--n", "11", "--k", "20"),
      "trailing split size k=20 out of range for 11 qubits"),
@@ -463,6 +477,10 @@ def test_negativity_bad_method_refused_before_building(capsys, monkeypatch, tmp_
      "polarization must satisfy |alpha| <= 1, got 2.0"),
     (("negativity", "--file", "{unitary}", "--k", "3"),
      "trailing split size k=3 out of range for 3 qubits"),
+    (("negativity", "--random", "--n", "1"), "register needs at least 2 qubits, got 1"),
+    (("negativity", "--family", "--n", "2"), "--family needs --n >= 3, got 2"),
+    (("trace", "--random", "--n", "0"), "register needs at least 2 qubits, got 0"),
+    (("trace", "--family", "--n", "2"), "--family needs --n >= 3, got 2"),
     (("trace", "--random", "--n", "11", "--epsilon", "2"), "epsilon must be in (0, 1), got 2.0"),
     (("trace", "--family", "--n", "11", "--alpha", "0"), "alpha = 0 carries no trace signal"),
     (("trace", "--random", "--n", "11", "--p-error", "1"), "p_error must be in (0, 1), got 1.0"),

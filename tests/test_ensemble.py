@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ def test_random_su2_stack_equals_single_draws():
     assert stack.shape == (5, 3, 2, 2)
     singles = np.array([[random_su2(single) for _ in range(3)] for _ in range(5)])
     assert np.array_equal(stack, singles)
+
+
+def test_philox_key_is_exact_mod_2_64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((-1, 0), (2**63, 2**63 + 1), (-2048, -3000)):
+            assert not np.array_equal(philox_stream(a).random(4), philox_stream(b).random(4))
+        assert np.array_equal(philox_stream(-1).random(4), philox_stream(2**64 - 1).random(4))
 
 
 def test_random_su2_theta_marginal():

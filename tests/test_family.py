@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
-from dqc1.family import (U2Blocks, build_family, canonical_u2, circuit_family,
-                         family_negativity, qubits_1_and_n_together)
+from dqc1.family import U2Blocks, build_family, canonical_u2, circuit_family
 from dqc1.linalg import (Bipartition, hermitian_eigenvalues, max_abs,
                          partial_transpose, unitary_defect)
 from dqc1.negativity import negativity_eigen
 from dqc1.pathsum import circuit_unitary
 from dqc1.state import build_state
-from oracles import rho_of
+from oracles import family_negativity, qubits_1_and_n_together, rho_of
 
 
 def test_canonical_blocks_identities_exact():

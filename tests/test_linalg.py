@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, random_density, save_unitary
 from dqc1.linalg import (Bipartition, _nonzero_blocks, hermitian_eigenvalues, load_unitary,
-                         partial_transpose, require_density, require_unitary, save_unitary,
+                         partial_transpose, require_density, require_unitary,
                          singular_values, unitary_defect)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density
-from dqc1.family import build_family, family_negativity
+from dqc1.family import build_family
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose, singular_values
 from dqc1.negativity import (negativity_eigen, negativity_singular,
-                             pure_state_negativity, unpolarized_partial_transpose)
+                             unpolarized_partial_transpose)
 from dqc1.state import build_state
-from oracles import rho_of
+from oracles import family_negativity, pure_state_negativity, rho_of
 
 
 def bell_density():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import format_circuit
 from dqc1 import pathsum
 from dqc1.family import circuit_family
 from dqc1.pathsum import (CNOT, Gate, GateCircuit, H, PathBudgetError,
                           PathPolynomials, T, TOFFOLI, circuit_unitary,
                           compile_circuit, dense_trace, exact_trace_enumeration,
-                          format_circuit, hadamard_bracket,
+                          hadamard_bracket,
                           load_circuit, parse_circuit, path_class_counts,
                           prepare_circuit, sampled_trace, trace_by_counting)
 from oracles import gate_matrix

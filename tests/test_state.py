@@ -6,11 +6,12 @@ import pytest
 
 from conftest import haar_unitary
 import dqc1.state
-from dqc1.family import build_family
+from dqc1.family import build_family, canonical_u2
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose
-from dqc1.state import (build_state, estimate_trace, pauli_expectations,
-                        runs_required, separable_ball_alpha, separable_decomposition)
-from oracles import reconstruct_mixture, rho_of
+from dqc1.negativity import negativity_eigen, negativity_singular
+from dqc1.state import _readout, build_state, estimate_trace, runs_required
+from oracles import (reconstruct_mixture, rho_of, separable_ball_alpha,
+                     separable_decomposition)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -35,7 +36,7 @@ def test_build_state_block_form():
 
 def test_build_state_identity_polarized():
     st = build_state(np.eye(2, dtype=complex), 1.0)
-    assert pauli_expectations(st) == (1.0, 0.0)
+    assert _readout(st.tau, st.alpha) == (1.0, 0.0)
 
 
 def test_build_state_alpha_zero_is_maximally_mixed():
@@ -46,8 +47,16 @@ def test_build_state_alpha_zero_is_maximally_mixed():
 
 def test_build_state_traceless_unitary():
     st = build_state(Z, 1.0)
-    x, y = pauli_expectations(st)
+    x, y = _readout(st.tau, st.alpha)
     assert x == 0.0 and y == 0.0
+
+
+def test_records_compare_and_hash_by_identity():
+    # ndarray fields make a generated __eq__ raise and a generated __hash__ fail
+    for make in (lambda: build_state(np.eye(4), 1.0), canonical_u2):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
 
 def test_build_state_rejections():
@@ -63,7 +72,8 @@ def test_build_state_rejections():
 
 
 def test_pauli_expectations_t_gate():
-    x, y = pauli_expectations(build_state(T_GATE, 1.0))
+    st = build_state(T_GATE, 1.0)
+    x, y = _readout(st.tau, st.alpha)
     assert abs(x - (1 + math.cos(math.pi / 4)) / 2) <= 1e-15
     assert abs(y - (-math.sin(math.pi / 4) / 2)) <= 1e-15
 
@@ -79,15 +89,15 @@ def test_pauli_expectations_match_operator_expectations():
         eye, rho = np.eye(len(u)), rho_of(st)
         x_op = np.trace(rho @ np.kron(pauli_x, eye))
         y_op = np.trace(rho @ np.kron(pauli_y, eye))
-        x, y = pauli_expectations(st)
+        x, y = _readout(st.tau, st.alpha)
         assert abs(x - x_op) <= 1e-12 and abs(y + y_op) <= 1e-12
 
 
 def test_pauli_expectations_linear_in_alpha():
     rng = np.random.default_rng(2)
     u = haar_unitary(8, rng)
-    full = pauli_expectations(build_state(u, 1.0))
-    half = pauli_expectations(build_state(u, 0.5))
+    full = _readout(build_state(u, 1.0).tau, 1.0)
+    half = _readout(build_state(u, 0.5).tau, 0.5)
     assert half == (0.5 * full[0], 0.5 * full[1])
 
 
@@ -173,7 +183,7 @@ def test_estimate_trace_refuses_over_run_cap(monkeypatch):
 def test_estimate_trace_clips_probability_inside_unitarity_tolerance(sign):
     # defect 8e-11 passes require_unitary, yet <X> = 1 + 4e-11 puts p(+1) above 1
     u = sign * (1 + 4e-11) * np.eye(2, dtype=complex)
-    assert sign * pauli_expectations(build_state(u, 1.0))[0] > 1
+    assert sign * _readout(build_state(u, 1.0).tau, 1.0)[0] > 1
     for seed in range(5):
         assert estimate_trace(_tau(u), 1.0, 0.05, 0.01, seed).estimate.real == sign * 1.0
 
@@ -186,7 +196,7 @@ def test_estimator_variance_matches_binomial():
     u = haar_unitary(4, np.random.default_rng(23))
     alpha, epsilon, p_error = 0.6, 0.3, 0.1
     runs = runs_required(alpha, epsilon, p_error)
-    expectations = pauli_expectations(build_state(u, alpha))
+    expectations = _readout(build_state(u, alpha).tau, alpha)
     estimates = np.array([estimate_trace(_tau(u), alpha, epsilon, p_error, seed).estimate
                           for seed in range(4000)])
     for sample, mean in zip((estimates.real, estimates.imag), expectations):
@@ -281,6 +291,16 @@ def test_separable_ball_thresholds():
     assert abs(lo - 2 / 9) <= 1e-15 and hi == 0.5
     values = [separable_ball_alpha(n) for n in range(1, 11)]
     assert all(a[0] > b[0] and a[1] > b[1] for a, b in zip(values, values[1:]))
+    # inside the separable ball every division is PPT: M == 1 exactly, by the
+    # singular route and, up to n+1 = 5, by the eigen route
+    rng = np.random.default_rng(8)
+    for n in range(2, 7):
+        st = build_state(haar_unitary(2**n, rng), 0.999 * separable_ball_alpha(n)[0])
+        for k in range(1, n + 1):
+            part = Bipartition.trailing(n + 1, k)
+            assert negativity_singular(st, part).m_value == 1.0, (n, k)
+            if n + 1 <= 5:
+                assert negativity_eigen(st, part).m_value == 1.0, (n, k)
 
 
 def test_distance_from_maximally_mixed():
