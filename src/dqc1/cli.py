@@ -43,6 +43,8 @@ ROUTE_READS = {
               "--nplus1 --all-splits": "samples seed", "--range --all-splits": "samples seed"},
     "bounds": {"--kind s12": "two_n alpha", "--kind s123": "two_n", "--kind asymptote": "two_n"},
 }
+# the most sizes of 2N one `bounds` command takes, refused before any row
+MAX_TWO_N_SIZES = 100_000
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -99,7 +101,11 @@ def _resolve(args: argparse.Namespace, config: dict[str, str],
             caster = (casts or {}).get(key, type(default) if default is not None else str)
             if caster is bool and raw.lower() not in _BOOLEANS:
                 raise ValueError(f"config key {key} takes 1/0, true/false or yes/no, got {raw!r}")
-            out[key] = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
+            try:
+                out[key] = _BOOLEANS[raw.lower()] if caster is bool else caster(raw)
+            except ValueError:
+                raise ValueError(f"config key {key} takes {caster.__name__} values, "
+                                 f"got {raw!r}") from None
         else:
             out[key] = default
     return out
@@ -129,7 +135,9 @@ def _unitary_source(command: str, cfg: dict,
     """Total qubit count, and a builder of U, from --family/--random/--file settings.
 
     Unread settings and the register size are checked, and a --file is read for
-    its count, so the caller can check its own settings before U is built.
+    its count, so the caller can check its own settings before U is built.  For
+    --family the builder gives the two-qubit seed, which carries the member's M
+    (on :func:`family.seed_division` of the division) and tau.
     """
     sources = [s for s in ("family", "random", "file") if cfg.get(s)]
     if len(sources) != 1:
@@ -148,10 +156,9 @@ def _unitary_source(command: str, cfg: dict,
     if source == "family" and n_plus_1 < 3:
         raise ValueError(f"--family needs --n >= 3, got {n_plus_1}")
     require_register(n_plus_1)
-    n = n_plus_1 - 1
     if source == "family":
-        return n_plus_1, lambda: family.build_family(n)
-    params = ensemble.RandomCircuitParams(n=n, seed=cfg["seed"])
+        return n_plus_1, lambda: family.canonical_u2().matrix()
+    params = ensemble.RandomCircuitParams(n=n_plus_1 - 1, seed=cfg["seed"])
     return n_plus_1, lambda: ensemble.pseudo_random_unitary(params)
 
 
@@ -165,7 +172,10 @@ def cmd_negativity(args: argparse.Namespace, config: dict[str, str]) -> str:
     n_plus_1, build_u = _unitary_source("negativity", cfg, defaults)
     require_polarization(cfg["alpha"])
     part = Bipartition.trailing(n_plus_1, cfg["k"])
-    res = routes[cfg["method"]](build_state(build_u(), cfg["alpha"]), part)
+    state = build_state(build_u(), cfg["alpha"])
+    if cfg["family"]:
+        part = family.seed_division(part)  # a trailing division always cuts the seed
+    res = routes[cfg["method"]](state, part)
     rows = ["n_plus_1,k,alpha,m_value,n_value,method",
             f"{n_plus_1},{cfg['k']},{_fmt(cfg['alpha'])},{_fmt(res.m_value)},"
             f"{_fmt(res.n_value)},{res.method}"]
@@ -203,7 +213,9 @@ def cmd_bounds(args: argparse.Namespace, config: dict[str, str]) -> str:
     _refuse_unread("bounds", f"--kind {cfg['kind']}", cfg, defaults)
     values = _parse_range(cfg["two_n"], "--two-n")
     if len(values) > 1:
-        values = [v for v in values if v % 2 == 0]  # a 2N range steps by 2
+        values = values[values[0] % 2::2]  # a 2N range steps by 2
+    if len(values) > MAX_TWO_N_SIZES:
+        raise ValueError(f"--two-n holds {len(values)} sizes of 2N; the cap is {MAX_TWO_N_SIZES}")
     results = []
     for two_n in values:
         if two_n % 2 or two_n < 4:

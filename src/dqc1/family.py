@@ -6,10 +6,15 @@ The n-qubit member is built from four single-qubit blocks A, B, C, D as
            [X_(n-2) x D,  I_(n-2) x B]],
 
 i.e. the first qubit selects the block row, the middle n-2 qubits carry
-identity or all-X factors, and the last qubit carries the block.  Because I
-and X are transposition invariant, only qubits 1 and n of the register react
-to a partial transpose, and the output-state negativity collapses to the
-three-qubit case whatever n is.
+identity or all-X factors, and the last qubit carries the block.
+
+The member's M and tau are its seed's.  I and X are real and symmetric, so a
+partial transpose V of U_n is the same pattern of the seed's transposed blocks
+(C and D trade places if the block-row qubit is transposed); in X's eigenbasis
+V falls into seed-size blocks [[A', +-C'], [+-D', B']], Z-conjugates of the
+seed's V, so V has the seed's singular values, each repeated.  Hence M(U_n) is
+the seed's M on the division without its middle qubits (:func:`seed_division`),
+and tau(U_n) = (tr A + tr B)/4 = tau(seed).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_matrix, max_abs
+from .linalg import Bipartition, as_complex_matrix, max_abs
 from .pathsum import CNOT, GateCircuit, H, T, Gate
 
 BLOCK_IDENTITY_TOL = 1e-12
@@ -69,8 +74,9 @@ def build_family(n: int, blocks: U2Blocks | None = None) -> np.ndarray:
 
     With 2x2 blocks this is the canonical family (n >= 2, reducing to the seed
     at n = 2).  Blocks of dimension 2**(k-1) give the k-qubit-seed
-    generalization, whose negativity is a numerical matter only.  U^dag U - I
-    is built from the three block identities that :class:`U2Blocks` checks to
+    generalization, with the k-qubit seed's M and tau by the reduction in the
+    module docstring (tau = (tr A + tr B)/2**k).  U^dag U - I is built from
+    the three block identities that :class:`U2Blocks` checks to
     BLOCK_IDENTITY_TOL, below UNITARY_TOL, so the result is not checked again.
     """
     if blocks is None:
@@ -85,6 +91,25 @@ def build_family(n: int, blocks: U2Blocks | None = None) -> np.ndarray:
     x_m = eye_m[::-1]  # X^(x)m flips every bit: index i -> 2**m - 1 - i
     return np.block([[np.kron(eye_m, blocks.a), np.kron(x_m, blocks.c)],
                      [np.kron(x_m, blocks.d), np.kron(eye_m, blocks.b)]])
+
+
+def seed_division(part: Bipartition, seed_qubits: int = 2) -> Bipartition | None:
+    """The division of the seed's (seed_qubits + 1)-qubit register with the M
+    of ``part`` of the family register.
+
+    Register qubits 0 and 1 keep their places, the last seed_qubits - 1 follow
+    them, and the middle qubits, which carry only I or X, are dropped.  None
+    when every kept qubit falls on one side: the transpose, or its complement,
+    then acts on middle qubits only, and M = 1.
+    """
+    middle = part.total_qubits - 1 - seed_qubits
+    if middle < 0:
+        raise ValueError(f"family needs n >= {seed_qubits} for a {seed_qubits}-qubit seed, "
+                         f"got {part.total_qubits - 1}")
+    kept = {q if q < 2 else q - middle for q in part.transposed_part if q < 2 or q > middle + 1}
+    if not kept or len(kept) == seed_qubits + 1:
+        return None
+    return Bipartition(seed_qubits + 1, kept)
 
 
 def _u2_gates(q1: int, qn: int) -> tuple[Gate, ...]:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, save_circuit, save_unitary
-from dqc1.cli import ROUTE_READS, main
+from dqc1.cli import MAX_TWO_N_SIZES, ROUTE_READS, main
+from dqc1.linalg import Bipartition
 from dqc1.pathsum import CNOT, GateCircuit, H, T, TOFFOLI
+from oracles import family_negativity
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +143,29 @@ def test_bounds_rejects_odd_two_n(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", ["s12", "s123", "asymptote"])
+def test_bounds_range_over_the_size_cap_refused_before_any_row(capsys, monkeypatch, kind):
+    import dqc1.bounds
+    calls = []
+    for name in ("bound_s12", "bound_s123", "bound_s123_asymptotic"):
+        _refuse_call(monkeypatch, dqc1.bounds, name, calls)
+    hi = 4 + 2 * MAX_TWO_N_SIZES  # 4, 6, ..., hi: one size over the cap
+    for two_n in (f"4..{hi}", f"3..{hi + 1}", "4..2000000", "4..10000000000"):
+        code, out, err = run_cli(capsys, "bounds", "--kind", kind, "--two-n", two_n)
+        assert code == 2 and out == "" and calls == []
+        sizes = len(range(4, int(two_n.split("..")[1]) + 1, 2))
+        assert err == f"error: --two-n holds {sizes} sizes of 2N; the cap is {MAX_TWO_N_SIZES}\n"
+
+
+def test_bounds_range_at_the_size_cap_runs(capsys, monkeypatch):
+    import dqc1.bounds
+    sizes = []
+    monkeypatch.setattr(dqc1.bounds, "bound_s12", lambda big_n, alpha: sizes.append(big_n) or [])
+    code, out, err = run_cli(capsys, "bounds", "--two-n", f"3..{2 + 2 * MAX_TWO_N_SIZES + 1}")
+    assert code == 0 and err == ""
+    assert sizes == list(range(2, 2 + MAX_TWO_N_SIZES))
+
+
 def test_trace_protocol(capsys):
     code, out, _ = run_cli(capsys, "trace", "--family", "--n", "4",
                            "--epsilon", "0.05", "--p-error", "0.01", "--seed", "3")
@@ -213,6 +238,65 @@ def test_unitary_routes_golden_bytes(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == "\n".join(expected) + "\n"
+
+
+# the family's rows come from its seed; n_value's last digit differs from the
+# dense U_n's at several of these sizes
+GOLDEN_FAMILY = {
+    (9, "singular"): ("9,4,0.90000000000000002,1.2,0.10000000000000001,singular",
+                      "9,4,1,1.25,0.125,singular"),
+    (9, "eigen"): ("9,4,0.90000000000000002,1.2,0.099999999999999992,eigen",
+                   "9,4,1,1.25,0.12499999999999999,eigen"),
+    (11, "singular"): ("11,5,0.90000000000000002,1.2,0.10000000000000001,singular",
+                       "11,5,1,1.25,0.125,singular"),
+    (11, "eigen"): ("11,5,0.90000000000000002,1.2,0.099999999999999992,eigen",
+                    "11,5,1,1.25,0.12499999999999999,eigen"),
+    (14, "singular"): ("14,7,0.90000000000000002,1.2,0.10000000000000001,singular",
+                       "14,7,1,1.25,0.125,singular"),
+    (14, "eigen"): ("14,7,0.90000000000000002,1.2,0.099999999999999992,eigen",
+                    "14,7,1,1.25,0.12499999999999999,eigen"),
+}
+
+
+@pytest.mark.parametrize("n_plus_1,method", GOLDEN_FAMILY)
+def test_negativity_family_golden_bytes(capsys, n_plus_1, method):
+    for alpha, row in zip(("0.9", "1"), GOLDEN_FAMILY[n_plus_1, method]):
+        code, out, _ = run_cli(capsys, "negativity", "--family", "--n", str(n_plus_1),
+                               "--alpha", alpha, "--k", str(n_plus_1 // 2), "--method", method)
+        assert code == 0
+        assert out == f"n_plus_1,k,alpha,m_value,n_value,method\n{row}\n"
+
+
+def test_trace_family_golden_bytes(capsys):
+    code, out, _ = run_cli(capsys, "trace", "--family", "--n", "14", "--seed", "3",
+                           "--alpha", "0.7")
+    assert code == 0
+    assert out == "\n".join([
+        "n_plus_1=14", "alpha=0.69999999999999996", "epsilon=0.050000000000000003",
+        "p_error=0.01", "seed=3", "runs_used=9782", "estimate_re=0.47667727896719925",
+        "estimate_im=0.0090545316470485148", "true_re=0.5", "true_im=0",
+        "abs_error=0.025018670222880547"]) + "\n"
+
+
+def test_family_source_never_builds_the_member(capsys, monkeypatch):
+    # M and tau come from the seed at every size up to the cap, by both routes
+    import dqc1.family
+    calls = []
+    _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    for n_plus_1 in range(3, 15):
+        for k in range(1, n_plus_1):
+            for alpha in (1.0, 0.75):
+                expected = family_negativity(n_plus_1 - 1, alpha, Bipartition.trailing(n_plus_1, k))
+                for method in ("singular", "eigen"):
+                    code, out, _ = run_cli(capsys, "negativity", "--family", "--n", str(n_plus_1),
+                                           "--k", str(k), "--alpha", repr(alpha),
+                                           "--method", method)
+                    assert code == 0
+                    m = float(out.split("\n")[1].split(",")[3])
+                    assert abs(m - expected) <= 1e-12, (n_plus_1, k, alpha, method)
+        code, out, _ = run_cli(capsys, "trace", "--family", "--n", str(n_plus_1))
+        assert code == 0 and "true_re=0.5\ntrue_im=0\n" in out
+    assert calls == []
 
 
 def test_trace_pathsum_sampled(capsys, tmp_path):
@@ -293,6 +377,7 @@ def _refuse_work(monkeypatch, calls):
     import dqc1.pathsum
     for module, name in ((dqc1.ensemble, "pseudo_random_unitary"),
                          (dqc1.ensemble, "negativity_sweep"), (dqc1.family, "build_family"),
+                         (dqc1.family, "canonical_u2"), (dqc1.cli, "build_state"),
                          (dqc1.cli, "load_unitary"), (dqc1.pathsum, "load_circuit")):
         _refuse_call(monkeypatch, module, name, calls)
 
@@ -433,11 +518,14 @@ def _refuse_call(monkeypatch, module, name, calls):
                                   ("sweep", "--nplus1", "15", "--samples", "2"),
                                   ("sweep", "--range", "14..15")])
 def test_oversized_register_refused_before_building(capsys, monkeypatch, argv):
+    import dqc1.cli
     import dqc1.ensemble
     import dqc1.family
     calls = []
     _refuse_call(monkeypatch, dqc1.ensemble, "pseudo_random_unitary", calls)
     _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    _refuse_call(monkeypatch, dqc1.family, "canonical_u2", calls)
+    _refuse_call(monkeypatch, dqc1.cli, "build_state", calls)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and calls == []
     assert err == "error: register of 15 qubits exceeds the cap of 14\n"
@@ -498,6 +586,7 @@ def test_scalar_settings_refused_before_unitary_is_built(capsys, monkeypatch, in
     calls = []
     _refuse_call(monkeypatch, dqc1.ensemble, "pseudo_random_unitary", calls)
     _refuse_call(monkeypatch, dqc1.family, "build_family", calls)
+    _refuse_call(monkeypatch, dqc1.family, "canonical_u2", calls)
     _refuse_call(monkeypatch, dqc1.cli, "build_state", calls)
     code, out, err = run_cli(capsys, *(arg.format(**inputs) for arg in argv))
     assert code == 2 and out == "" and calls == []
@@ -632,6 +721,17 @@ def test_config_casts_numbers_and_booleans(capsys, tmp_path):
     bad.write_text("samples=plenty\n")
     code, _, err = run_cli(capsys, "--config", str(bad), "sweep", "--nplus1", "4")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("line,expected", [("seed=abc", "config key seed takes int values, got 'abc'"),
+                                           ("alpha=x", "config key alpha takes float values, got 'x'"),
+                                           ("k=1.5", "config key k takes int values, got '1.5'")])
+def test_malformed_config_number_names_the_key(capsys, tmp_path, line, expected):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "negativity", "--random", "--n", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: {expected}\n"
 
 
 def test_repeated_commands_in_one_process(capsys, tmp_path):

@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import haar_unitary
-from dqc1.family import U2Blocks, build_family, canonical_u2, circuit_family
+from dqc1.family import U2Blocks, build_family, canonical_u2, circuit_family, seed_division
 from dqc1.linalg import (Bipartition, hermitian_eigenvalues, max_abs,
                          partial_transpose, unitary_defect)
-from dqc1.negativity import negativity_eigen
+from dqc1.negativity import negativity_eigen, negativity_singular
 from dqc1.pathsum import circuit_unitary
 from dqc1.state import build_state
 from oracles import family_negativity, qubits_1_and_n_together, rho_of
@@ -127,6 +129,46 @@ def test_generalized_seed_blocks():
     assert unitary_defect(u5) <= 1e-12
     m = negativity_eigen(rho_of(build_state(u5, 1.0)), Bipartition.trailing(6, 1)).m_value
     assert 1.0 - 1e-12 <= m <= np.sqrt(2) + 1e-9
+
+
+@pytest.mark.parametrize("seed_qubits", [2, 3])
+def test_member_has_the_seeds_m_and_tau(seed_qubits):
+    # random seeds: over every division of U's qubits, M of U_n is the seed's M
+    # on the division without the middle qubits (1 when none is left on one
+    # side), and tau(U_n) is tau(seed)
+    rng = np.random.default_rng(30 + seed_qubits)
+    half = 2**(seed_qubits - 1)
+    seed = haar_unitary(2 * half, rng)
+    blocks = U2Blocks(a=seed[:half, :half], b=seed[half:, half:],
+                      c=seed[:half, half:], d=seed[half:, :half])
+    entangled = 0
+    for alpha in (1.0, 0.6):
+        seed_state = build_state(seed, alpha)
+        for n in range(seed_qubits, 8):
+            st = build_state(build_family(n, blocks), alpha)
+            assert abs(st.tau - seed_state.tau) <= 1e-12, n
+            for size in range(1, n + 1):
+                for qubits in itertools.combinations(range(1, n + 1), size):
+                    part = Bipartition(n + 1, qubits)
+                    reduced = seed_division(part, seed_qubits)
+                    expected = (1.0 if reduced is None
+                                else negativity_singular(seed_state, reduced).m_value)
+                    m = negativity_singular(st, part).m_value
+                    assert abs(m - expected) <= 1e-12, (n, alpha, qubits)
+                    entangled += m > 1.01
+    assert entangled > 100  # the check is not carried by PPT divisions alone
+
+
+def test_seed_division_drops_the_middle():
+    assert seed_division(Bipartition.trailing(3, 1)) == Bipartition(3, {2})
+    assert seed_division(Bipartition.trailing(9, 5)) == Bipartition(3, {2})
+    assert seed_division(Bipartition.trailing(9, 8)) == Bipartition(3, {1, 2})
+    assert seed_division(Bipartition(9, {0, 3, 8})) == Bipartition(3, {0, 2})
+    assert seed_division(Bipartition(9, {2, 5})) is None  # middle qubits only
+    assert seed_division(Bipartition(9, {0, 1, 5, 8})) is None  # its complement is
+    assert seed_division(Bipartition(9, {1, 7}), 3) == Bipartition(4, {1, 2})
+    with pytest.raises(ValueError, match="n >= 3"):
+        seed_division(Bipartition.trailing(3, 1), 3)
 
 
 def test_blocks_validation():

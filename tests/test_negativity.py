@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density
-from dqc1.family import build_family
+from dqc1.family import build_family, canonical_u2, seed_division
 from dqc1.linalg import Bipartition, hermitian_eigenvalues, partial_transpose, singular_values
 from dqc1.negativity import (negativity_eigen, negativity_singular,
                              unpolarized_partial_transpose)
@@ -214,16 +214,19 @@ def test_block_offdiagonal_trace_powers():
 
 
 def test_family_singular_route_up_to_twelve_qubits():
-    # the family's U and its partial transposes fall apart into blocks of at
-    # most 2 x 2, so the singular route costs milliseconds even at N = 2048
-    for n in range(2, 12):
-        u = build_family(n)
-        for alpha in (1.0, 0.75):
-            st = build_state(u, alpha)
+    # the CLI's route: the seed's state on the division without the middle
+    # qubits; the dense U_n checks it by the singular (n <= 9) and eigen
+    # (n + 1 <= 9) routes
+    for alpha in (1.0, 0.75):
+        seed_state = build_state(canonical_u2().matrix(), alpha)
+        for n in range(2, 12):
+            st = build_state(build_family(n), alpha) if n <= 9 else None
             for k in range(1, n + 1):
                 part = Bipartition.trailing(n + 1, k)
-                m = negativity_singular(st, part).m_value
+                m = negativity_singular(seed_state, seed_division(part)).m_value
                 assert abs(m - family_negativity(n, alpha, part)) <= 1e-12, (n, alpha, k)
+                if n <= 9:
+                    assert abs(negativity_singular(st, part).m_value - m) <= 1e-12, (n, alpha, k)
                 if n + 1 <= 9:
                     assert abs(negativity_eigen(st, part).m_value - m) <= 1e-12, (n, alpha, k)
 
